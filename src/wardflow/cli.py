@@ -68,7 +68,7 @@ def _add_log_options(parser: argparse.ArgumentParser) -> None:
 def _network_from_log(path: str, args) -> tuple:
     with open(path, "rb") as handle:
         data = handle.read()
-    events, stats = parse_event_log(io.StringIO(data.decode("utf-8")), _schema_from_args(args))
+    events, stats = parse_event_log(io.StringIO(data.decode("utf-8-sig")), _schema_from_args(args))
     journeys = reconstruct_journeys(events)
     if args.categories:
         category_map = read_category_map(args.categories, default_policy=args.category_policy,

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 KEEP_AS_IS = "keep-as-is"
 REJECT_UNKNOWN = "reject-unknown"
@@ -86,15 +87,20 @@ class CategoryMap:
         return location
 
 
-def _text_stream(source: IO | str) -> IO[str]:
+@contextmanager
+def _text_stream(source: IO | str) -> Iterator[IO[str]]:
+    """A text stream over a path or an open file; a path is closed on exit.
+
+    Bytes decode as UTF-8 with an optional byte-order mark.
+    """
     if isinstance(source, str):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, io.TextIOBase):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return io.StringIO(data.decode("utf-8"))
-    return io.StringIO(data)
+        with open(source, "r", encoding="utf-8-sig", newline="") as stream:
+            yield stream
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        data = source.read()
+        yield io.StringIO(data.decode("utf-8-sig") if isinstance(data, bytes) else data)
 
 
 def _parse_timestamp(raw: str, fmt: str | None) -> datetime:
@@ -108,34 +114,44 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
 
     Rows with an unparseable timestamp, an empty location, or an empty
     admission id are rejected and tallied per reason, never silently dropped.
-    A missing declared column raises SchemaError.
+    Timestamps must all be naive or all carry a UTC offset; a row that
+    differs from the first accepted row is tallied as "timezone". A missing
+    declared column raises SchemaError.
     """
-    stream = _text_stream(source)
-    reader = csv.DictReader(stream, delimiter=schema.delimiter)
-    header = reader.fieldnames or []
-    for column in (schema.admission_column, schema.location_column, schema.timestamp_column):
-        if column not in header:
-            raise SchemaError(f"column {column!r} not in header {header}")
+    with _text_stream(source) as stream:
+        reader = csv.DictReader(stream, delimiter=schema.delimiter)
+        header = reader.fieldnames or []
+        for column in (schema.admission_column, schema.location_column, schema.timestamp_column):
+            if column not in header:
+                raise SchemaError(f"column {column!r} not in header {header}")
 
-    events: list[LocationEvent] = []
-    stats = IngestStats()
-    for row in reader:
-        stats.rows_read += 1
-        admission = (row.get(schema.admission_column) or "").strip()
-        if not admission:
-            stats.reject("admission_id")
-            continue
-        location = (row.get(schema.location_column) or "").strip()
-        if not location:
-            stats.reject("location")
-            continue
-        raw_ts = (row.get(schema.timestamp_column) or "").strip()
-        try:
-            timestamp = _parse_timestamp(raw_ts, schema.timestamp_format)
-        except ValueError:
-            stats.reject("timestamp")
-            continue
-        events.append(LocationEvent(admission, location, timestamp, source_row=stats.rows_read))
+        events: list[LocationEvent] = []
+        stats = IngestStats()
+        aware: bool | None = None
+        for row in reader:
+            stats.rows_read += 1
+            admission = (row.get(schema.admission_column) or "").strip()
+            if not admission:
+                stats.reject("admission_id")
+                continue
+            location = (row.get(schema.location_column) or "").strip()
+            if not location:
+                stats.reject("location")
+                continue
+            raw_ts = (row.get(schema.timestamp_column) or "").strip()
+            try:
+                timestamp = _parse_timestamp(raw_ts, schema.timestamp_format)
+            except ValueError:
+                stats.reject("timestamp")
+                continue
+            # naive and offset-aware datetimes cannot be ordered against each other
+            row_aware = timestamp.utcoffset() is not None
+            if aware is None:
+                aware = row_aware
+            elif row_aware != aware:
+                stats.reject("timezone")
+                continue
+            events.append(LocationEvent(admission, location, timestamp, source_row=stats.rows_read))
     return events, stats
 
 
@@ -182,15 +198,15 @@ def apply_category_map(journeys: Iterable[AdmissionJourney], category_map: Categ
 
 def read_category_map(source: IO | str, default_policy: str = KEEP_AS_IS, delimiter: str = ",") -> CategoryMap:
     """Load a two-column (location, category) file; a header row is skipped."""
-    stream = _text_stream(source)
     entries: dict[str, str] = {}
-    for i, row in enumerate(csv.reader(stream, delimiter=delimiter)):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < 2:
-            raise ValueError(f"category map row {i + 1} needs two columns: {row}")
-        location, category = row[0].strip(), row[1].strip()
-        if i == 0 and (location.lower(), category.lower()) == ("location", "category"):
-            continue
-        entries[location] = category
+    with _text_stream(source) as stream:
+        for i, row in enumerate(csv.reader(stream, delimiter=delimiter)):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < 2:
+                raise ValueError(f"category map row {i + 1} needs two columns: {row}")
+            location, category = row[0].strip(), row[1].strip()
+            if i == 0 and (location.lower(), category.lower()) == ("location", "category"):
+                continue
+            entries[location] = category
     return CategoryMap(entries, default_policy)

@@ -7,7 +7,6 @@ projection, whose conventions the small-world machinery expects.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -133,7 +132,8 @@ def flow_hierarchy(net: TransferNetwork) -> float | None:
 
 def _neighbor_sets(net: TransferNetwork) -> dict[str, set[str]]:
     projection = undirected_projection(net)
-    neighbors: dict[str, set[str]] = {node: set() for node in net.nodes}
+    # label order, so float sums over these dicts do not follow the string hash seed
+    neighbors: dict[str, set[str]] = {node: set() for node in net.sorted_nodes()}
     for u, v in projection.edges:
         neighbors[u].add(v)
         neighbors[v].add(u)

@@ -111,7 +111,12 @@ def from_networkx(graph: nx.Graph) -> TransferNetwork:
         u, v = str(u), str(v)
         if not directed and u > v:
             u, v = v, u
-        edges[(u, v)] = int(data.get("weight", 1))
+        if (u, v) in edges:
+            raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+        weight = data.get("weight", 1)
+        if isinstance(weight, float) and not weight.is_integer():
+            raise ValueError(f"edge ({u!r}, {v!r}) weight {weight!r} is not an integer")
+        edges[(u, v)] = int(weight)
     categories = {
         str(n): str(data["category"]) for n, data in graph.nodes(data=True) if "category" in data
     }
@@ -132,7 +137,7 @@ def _export_edgelist(net: TransferNetwork) -> bytes:
 
 
 def _import_edgelist(data: bytes, directed: bool) -> TransferNetwork:
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    reader = csv.reader(io.StringIO(data.decode("utf-8-sig")))
     header = next(reader, None)
     if header != EDGE_LIST_HEADER:
         raise ValueError(f"expected header {EDGE_LIST_HEADER}, got {header}")
@@ -141,6 +146,8 @@ def _import_edgelist(data: bytes, directed: bool) -> TransferNetwork:
     for row in reader:
         if not row:
             continue
+        if len(row) != 3:
+            raise ValueError(f"edge-list row {row} does not have three columns")
         u, v, weight = row[0], row[1], int(row[2])
         if v == "":
             nodes.add(u)
@@ -148,6 +155,8 @@ def _import_edgelist(data: bytes, directed: bool) -> TransferNetwork:
         nodes.update((u, v))
         if not directed and u > v:
             u, v = v, u
+        if (u, v) in edges:
+            raise ValueError(f"duplicate edge-list row for ({u!r}, {v!r})")
         edges[(u, v)] = weight
     return TransferNetwork(frozenset(nodes), edges, directed=directed)
 

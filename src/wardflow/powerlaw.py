@@ -64,7 +64,8 @@ class RegressionFit:
 
 
 def _prepare(samples: Iterable[int]) -> np.ndarray:
-    x = np.asarray(sorted(samples), dtype=np.int64)
+    # sorted() on an ndarray would box every element; np.sort gives the same array
+    x = np.sort(np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=np.int64))
     if len(x) == 0:
         raise ValueError("no samples")
     if x[0] < 1:

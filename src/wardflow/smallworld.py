@@ -7,15 +7,12 @@ lattice ensemble only swaps that do not loosen a banded edge layout
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    njit = None
 
 from . import metrics as metrics_mod
 from .network import TransferNetwork
@@ -25,6 +22,7 @@ _DEFAULT_SWAP_FACTOR = 10
 # before banded structure (and with it lattice-level clustering) saturates
 _DEFAULT_LATTICE_FACTOR = 1000
 _RNG_BLOCK = 1 << 20
+_LIST_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,27 +56,22 @@ class SmallWorldReport:
     reasons: Mapping[str, str]
 
 
-def _swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation, rank, lattice_rule, present):
+def _swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation, rank, present, n):
     """Apply double-edge-swap proposals in place; returns accepted count.
 
-    Edges are integer pairs with u < v; `present` is a flat n*n boolean
-    adjacency table indexed by u * n + v. The lattice rule rejects swaps
-    that increase the total rank-index span.
+    Edges are integer pairs with u < v held in two lists; `present` is the
+    set of edge keys u * n + v. With a node rank (the lattice rule), swaps
+    that increase the total rank-index span are rejected.
     """
-    n = rank.shape[0]
-    for t in range(edge_u.shape[0]):
-        present[edge_u[t] * n + edge_v[t]] = True
     accepted = 0
-    for t in range(pick_a.shape[0]):
-        i = pick_a[t]
-        j = pick_b[t]
+    for i, j, flip in zip(pick_a, pick_b, orientation):
         if i == j:
             continue
         a = edge_u[i]
         b = edge_v[i]
-        c = edge_u[j]
-        d = edge_v[j]
-        if orientation[t] == 1:
+        c = old_c = edge_u[j]
+        d = old_d = edge_v[j]
+        if flip:
             c, d = d, c
         if a == d or c == b:
             continue
@@ -86,17 +79,17 @@ def _swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation, rank, lattice_rule
         u2, v2 = (c, b) if c < b else (b, c)
         key1 = u1 * n + v1
         key2 = u2 * n + v2
-        if key1 == key2 or present[key1] or present[key2]:
+        if key1 == key2 or key1 in present or key2 in present:
             continue
-        if lattice_rule:
-            old_span = abs(rank[a] - rank[b]) + abs(rank[edge_u[j]] - rank[edge_v[j]])
+        if rank is not None:
+            old_span = abs(rank[a] - rank[b]) + abs(rank[old_c] - rank[old_d])
             new_span = abs(rank[u1] - rank[v1]) + abs(rank[u2] - rank[v2])
             if new_span > old_span:
                 continue
-        present[edge_u[i] * n + edge_v[i]] = False
-        present[edge_u[j] * n + edge_v[j]] = False
-        present[key1] = True
-        present[key2] = True
+        present.remove(a * n + b)
+        present.remove(old_c * n + old_d)
+        present.add(key1)
+        present.add(key2)
         edge_u[i] = u1
         edge_v[i] = v1
         edge_u[j] = u2
@@ -105,23 +98,19 @@ def _swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation, rank, lattice_rule
     return accepted
 
 
-if njit is not None:
-    _swap_kernel = njit(cache=True)(_swap_kernel)
-
-
 def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
-                lattice_rank: np.ndarray | None) -> tuple[TransferNetwork, int, int]:
+                lattice_rank: list[int] | None) -> tuple[TransferNetwork, int, int]:
     ordered = sorted(net.edges)
     if len(ordered) < 2 or n_swaps < 1:
         return net, max(n_swaps, 0), 0
     labels = net.sorted_nodes()
+    n = len(labels)
     index = {label: i for i, label in enumerate(labels)}
     # integer order follows label order, so u < v matches canonical edges
-    edge_u = np.array([index[u] for u, _ in ordered], dtype=np.int64)
-    edge_v = np.array([index[v] for _, v in ordered], dtype=np.int64)
+    edge_u = [index[u] for u, _ in ordered]
+    edge_v = [index[v] for _, v in ordered]
     weights = [net.edges[edge] for edge in ordered]
-    rank = lattice_rank if lattice_rank is not None else np.zeros(len(labels), dtype=np.int64)
-    present = np.zeros(len(labels) * len(labels), dtype=np.bool_)
+    present = {u * n + v for u, v in zip(edge_u, edge_v)}
 
     accepted = 0
     remaining = n_swaps
@@ -131,11 +120,15 @@ def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
         pick_a = rng.integers(0, len(ordered), size=take)
         pick_b = rng.integers(0, len(ordered), size=take)
         orientation = rng.integers(0, 2, size=take)
-        accepted += int(_swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation,
-                                     rank, lattice_rank is not None, present))
+        # the kernel runs on Python ints; converting a whole block at once
+        # would hold three lists of a million boxed ints
+        for lo in range(0, take, _LIST_CHUNK):
+            hi = lo + _LIST_CHUNK
+            accepted += _swap_kernel(edge_u, edge_v, pick_a[lo:hi].tolist(), pick_b[lo:hi].tolist(),
+                                     orientation[lo:hi].tolist(), lattice_rank, present, n)
 
     edges = {
-        (labels[int(u)], labels[int(v)]): weight
+        (labels[u], labels[v]): weight
         for u, v, weight in zip(edge_u, edge_v, weights)
     }
     rewired = TransferNetwork(net.nodes, edges, directed=False, categories=net.categories)
@@ -177,7 +170,7 @@ def latticize(net: TransferNetwork, seed: int = 0, n_swaps: int | None = None) -
         degree_of[u] += 1
         degree_of[v] += 1
     labels = net.sorted_nodes()
-    rank = np.zeros(len(labels), dtype=np.int64)
+    rank = [0] * len(labels)
     by_degree = sorted(labels, key=lambda x: (degree_of[x], x))
     position = {label: i for i, label in enumerate(labels)}
     for order_index, node in enumerate(by_degree):
@@ -192,6 +185,71 @@ def _member_seed(seed: int, tag: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, tag, index)).generate_state(1)[0])
 
 
+_RANDOM_TAG = 1
+_LATTICE_TAG = 2
+
+
+def _ensemble_member(net: TransferNetwork, seed: int, n_swaps: int, lattice_swaps: int,
+                     task: tuple[int, int]) -> tuple[int, float | None, float | None]:
+    """One reference member: (accepted swaps, C, L); L is None for lattices."""
+    tag, index = task
+    member_seed = _member_seed(seed, tag, index)
+    if tag == _RANDOM_TAG:
+        result = rewire_random(net, n_swaps, seed=member_seed)
+        path_length, _ = metrics_mod.avg_shortest_path(result.network, metrics_mod.PROJECTION_SCOPE)
+    else:
+        result = latticize(net, seed=member_seed, n_swaps=lattice_swaps)
+        path_length = None
+    _, member_c, _ = metrics_mod.clustering(result.network)
+    return result.accepted, member_c, path_length
+
+
+def _worker_count(tasks: int) -> int:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, tasks))
+
+
+# set in each forked worker by the pool initializer; the parent never writes it
+_pool_args: tuple = ()
+
+
+def _set_pool_args(*args) -> None:
+    global _pool_args
+    _pool_args = args
+
+
+def _pooled_member(task: tuple[int, int]) -> tuple[int, float | None, float | None]:
+    return _ensemble_member(*_pool_args, task)
+
+
+def _run_members(args: tuple, tasks: list[tuple[int, int]]) -> list[tuple[int, float | None, float | None]]:
+    """Run every member, across forked worker processes when more than one CPU is usable.
+
+    The workers receive the network through fork rather than pickling, so
+    each member sees the very same node set, in the same iteration order,
+    as a serial run would, and no worker pays for a fresh import. Forking a
+    process whose other threads may hold locks is unsafe, so a caller with
+    running threads gets the serial path. Results come back in task order.
+    """
+    workers = _worker_count(len(tasks))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # no fork on this platform
+            context = None
+        if context is not None:
+            with ProcessPoolExecutor(workers, mp_context=context, initializer=_set_pool_args,
+                                     initargs=args) as pool:
+                return list(pool.map(_pooled_member, tasks))
+    return [_ensemble_member(*args, task) for task in tasks]
+
+
 def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
                        n_swaps: int | None = None, lattice_swaps: int | None = None) -> SmallWorldReport:
     """sigma and omega against degree-matched random and lattice ensembles.
@@ -200,6 +258,8 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
     clustering and path values are unweighted; path lengths are giant
     component means. Raw values are reported without clamping, and the
     ensemble components are kept so either coefficient can be recomputed.
+    Members have their own seeds, so they run in parallel on the CPUs
+    available to the process and give the same report as a serial run.
     """
     _require_undirected(net, "small_world_report")
     if n_samples < 1:
@@ -212,26 +272,25 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
     _, c_av, _ = metrics_mod.clustering(net)
     l_av, coverage = metrics_mod.avg_shortest_path(net, metrics_mod.PROJECTION_SCOPE)
 
+    tasks = [(tag, i) for i in range(n_samples) for tag in (_RANDOM_TAG, _LATTICE_TAG)]
+    members = _run_members((net, seed, n_swaps, lattice_swaps), tasks)
+
     random_c: list[float] = []
     random_l: list[float] = []
     random_accepted: list[int] = []
     lattice_c: list[float] = []
     lattice_accepted: list[int] = []
-    for i in range(n_samples):
-        randomized = rewire_random(net, n_swaps, seed=_member_seed(seed, 1, i))
-        random_accepted.append(randomized.accepted)
-        _, member_c, _ = metrics_mod.clustering(randomized.network)
-        member_l, _ = metrics_mod.avg_shortest_path(randomized.network, metrics_mod.PROJECTION_SCOPE)
-        if member_c is not None:
-            random_c.append(member_c)
-        if member_l is not None:
-            random_l.append(member_l)
-
-        lattice = latticize(net, seed=_member_seed(seed, 2, i), n_swaps=lattice_swaps)
-        lattice_accepted.append(lattice.accepted)
-        _, member_c, _ = metrics_mod.clustering(lattice.network)
-        if member_c is not None:
-            lattice_c.append(member_c)
+    for (tag, _), (accepted, member_c, member_l) in zip(tasks, members):
+        if tag == _RANDOM_TAG:
+            random_accepted.append(accepted)
+            if member_c is not None:
+                random_c.append(member_c)
+            if member_l is not None:
+                random_l.append(member_l)
+        else:
+            lattice_accepted.append(accepted)
+            if member_c is not None:
+                lattice_c.append(member_c)
 
     c_rand = sum(random_c) / len(random_c) if random_c else None
     l_rand = sum(random_l) / len(random_l) if random_l else None

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import wardflow
 from wardflow.cli import main
 
 LOG = """admission_id,location,timestamp
@@ -228,3 +233,57 @@ def test_report_format_carries_published_style_values(capsys):
     assert (payload["ci_low"], payload["ci_high"]) == (6.14, 6.26)
     assert payload["p_value"] == 0.46
     assert json.dumps(payload)
+
+
+def test_build_mixed_timezone_log_tallies_rows(tmp_path, capsys):
+    path = tmp_path / "mixed.csv"
+    path.write_text("admission_id,location,timestamp\n"
+                    "a1,ED,2016-03-01T08:00\n"
+                    "a1,ward1,2016-03-01T09:00+00:00\n"
+                    "a2,ED,2016-03-01T08:15\n"
+                    "a2,CT,2016-03-01T10:00\n")
+    out = tmp_path / "net.csv"
+    code, _, err = run(capsys, "build", path, "--format", "edgelist", "-o", out)
+    assert code == 0
+    assert "Traceback" not in err
+    assert "rejected: 1 {'timezone': 1}" in err
+    assert out.read_text() == "from,to,weight\nED,CT,1\n"
+
+
+def test_build_log_with_byte_order_mark(log_file, tmp_path, capsys):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + log_file.read_bytes())
+    plain_out = tmp_path / "plain.csv"
+    bom_out = tmp_path / "bom_net.csv"
+    assert run(capsys, "build", log_file, "--format", "edgelist", "-o", plain_out)[0] == 0
+    code, _, err = run(capsys, "build", bom, "--format", "edgelist", "-o", bom_out)
+    assert code == 0, err
+    assert bom_out.read_bytes() == plain_out.read_bytes()
+
+
+def test_analyze_duplicate_edge_list_rows_is_input_error(tmp_path, capsys):
+    path = tmp_path / "net.csv"
+    path.write_text("from,to,weight\nA,B,3\nB,C,1\nA,B,5\n")
+    code, _, err = run(capsys, "analyze", path, "--skip", "small_world")
+    assert code == 2
+    assert "duplicate" in err
+
+
+def test_report_bytes_do_not_depend_on_the_string_hash_seed(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    net = tmp_path / "net.graphml"
+    assert run(capsys, "synth", "--model", "ba", "--n", "60", "--m", "2", "--journeys", "400",
+               "--seed", "8", "-o", log)[0] == 0
+    assert run(capsys, "build", log, "-o", net)[0] == 0
+    src = str(Path(wardflow.__file__).resolve().parent.parent)
+    reports = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "wardflow.cli", "analyze", str(net), "--boot", "10",
+             "--sw-samples", "2", "--sw-lattice-swaps", "2000", "--seed", "3"],
+            env=env, capture_output=True, check=True, timeout=300,
+        )
+        reports.append(result.stdout)
+    assert reports[0] == reports[1]

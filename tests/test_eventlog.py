@@ -1,4 +1,6 @@
+import gc
 import io
+import warnings
 from datetime import datetime, timedelta
 
 import pytest
@@ -197,3 +199,49 @@ def test_reconstruct_row_order_only_matters_for_ties(events, rnd):
     shuffled = list(events)
     rnd.shuffle(shuffled)
     assert reconstruct_journeys(shuffled) == journeys
+
+
+def test_parse_mixed_timezone_awareness_rejected_and_tallied():
+    events, stats = parse_event_log(make_csv([
+        "a1,ED,2016-03-01T08:00",
+        "a1,ward1,2016-03-01T09:00+00:00",
+        "a2,ED,2016-03-01T08:15",
+        "a2,CT,2016-03-01T08:45Z",
+    ]))
+    assert stats.rejections == {"timezone": 2}
+    assert [e.source_row for e in events] == [1, 3]
+    assert len(reconstruct_journeys(events)) == 2
+
+
+def test_parse_all_aware_timestamps_accepted():
+    events, stats = parse_event_log(make_csv([
+        "a1,ED,2016-03-01T08:00+01:00",
+        "a1,ward1,2016-03-01T08:30+00:00",
+    ]))
+    assert stats.rows_rejected == 0
+    assert reconstruct_journeys(events)[0].stops == ("ED", "ward1")
+
+
+def test_utf8_byte_order_mark_is_skipped(tmp_path):
+    text = "admission_id,location,timestamp\na1,ED,2016-03-01T08:00\na1,CT,2016-03-01T09:00\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    from_path, _ = parse_event_log(str(path))
+    from_bytes, _ = parse_event_log(io.BytesIO(path.read_bytes()))
+    assert from_path == from_bytes == parse_event_log(io.StringIO(text))[0]
+    categories = tmp_path / "map.csv"
+    categories.write_bytes(b"\xef\xbb\xbflocation,category\nCT,imaging\n")
+    assert read_category_map(str(categories)).entries == {"CT": "imaging"}
+
+
+def test_files_opened_from_a_path_are_closed(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text("admission_id,location,timestamp\na1,ED,2016-03-01T08:00\n")
+    categories = tmp_path / "map.csv"
+    categories.write_text("ward1,medical\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_event_log(str(log))
+        read_category_map(str(categories))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -1,5 +1,7 @@
+import io
 from datetime import datetime, timedelta
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,3 +164,45 @@ def test_round_trip_property(net):
 @settings(max_examples=80, deadline=None)
 def test_projection_weight_preservation_property(net):
     assert undirected_projection(net).total_weight == net.total_weight
+
+
+def test_edgelist_duplicate_rows_are_an_error():
+    with pytest.raises(ValueError, match="duplicate"):
+        import_network(b"from,to,weight\nA,B,3\nA,B,5\n", "edgelist", directed=True)
+    # an undirected edge list names each pair once, in either orientation
+    with pytest.raises(ValueError, match="duplicate"):
+        import_network(b"from,to,weight\nA,B,3\nB,A,5\n", "edgelist", directed=False)
+    both_ways = import_network(b"from,to,weight\nA,B,3\nB,A,5\n", "edgelist", directed=True)
+    assert both_ways.total_weight == 8
+
+
+def test_edgelist_short_row_is_an_error():
+    with pytest.raises(ValueError, match="three columns"):
+        import_network(b"from,to,weight\nA,B\n", "edgelist", directed=True)
+
+
+def test_graphml_rejects_non_integer_weights():
+    graph = nx.DiGraph()
+    graph.add_edge("A", "B", weight=2.5)
+    buffer = io.BytesIO()
+    nx.write_graphml(graph, buffer)
+    with pytest.raises(ValueError, match="not an integer"):
+        import_network(buffer.getvalue(), "graphml")
+
+
+def test_graphml_accepts_integral_float_weights():
+    graph = nx.DiGraph()
+    graph.add_edge("A", "B", weight=3.0)
+    buffer = io.BytesIO()
+    nx.write_graphml(graph, buffer)
+    assert import_network(buffer.getvalue(), "graphml").edges == {("A", "B"): 3}
+
+
+def test_graphml_parallel_edges_are_an_error():
+    graph = nx.MultiDiGraph()
+    graph.add_edge("A", "B", weight=3)
+    graph.add_edge("A", "B", weight=5)
+    buffer = io.BytesIO()
+    nx.write_graphml(graph, buffer)
+    with pytest.raises(ValueError, match="duplicate"):
+        import_network(buffer.getvalue(), "graphml")

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from wardflow import smallworld
 from wardflow.metrics import clustering
 from wardflow.network import TransferNetwork, undirected_projection
 from wardflow.smallworld import latticize, rewire_random, small_world_report
@@ -130,3 +133,52 @@ def test_ensemble_growth_is_stable():
     large = small_world_report(net, n_samples=50, seed=3)
     assert abs(small.sigma - large.sigma) < 0.5
     assert abs(small.omega - large.omega) < 0.15
+
+
+# (accepted, sha256 of the sorted edge items) recorded with the earlier
+# numpy-indexed swap kernel; the proposal stream and its outcome must not move
+GOLDEN_NET = ModelSpec("preferential-attachment", n=80, m=2, seed=7)
+GOLDEN_RANDOM = {
+    0: (1226, "adbaf07d9e6242c14314b8fa1ba9baede41b2b727b20b5bdfe49f1d083f77963"),
+    1: (1227, "84521f4954559c851d1b36c07fa16365101523ffd231a4ab585bb82a99b862c2"),
+    2: (1212, "eb03befb41c3c515c81b18403ef895714b298c3b407cc63fe1f83546ec9cf4fb"),
+}
+GOLDEN_LATTICE = {
+    0: (898, "113c35ef441d59634b0c1b3513f5e1eff623fd28b986230d25badd4e50c81820"),
+    1: (865, "4dab9b95559947515258c980dbdbc4590e96b5ceb4df059ce27f02a66b604e70"),
+    2: (941, "3e90df18dd32fe10490e3e485fc301013f82532ff2c594124abc0ae419f46e0d"),
+}
+
+
+def edge_digest(net):
+    return hashlib.sha256(repr(sorted(net.edges.items())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_RANDOM))
+def test_swap_kernels_match_recorded_outcomes(seed):
+    net = generate_network(GOLDEN_NET)
+    random = rewire_random(net, seed=seed)
+    lattice = latticize(net, seed=seed)
+    assert (random.accepted, edge_digest(random.network)) == GOLDEN_RANDOM[seed]
+    assert (lattice.accepted, edge_digest(lattice.network)) == GOLDEN_LATTICE[seed]
+
+
+def test_swap_kernels_match_recorded_outcomes_across_rng_blocks():
+    # more proposals than one random block, so the block and chunk seams are crossed
+    net = generate_network(GOLDEN_NET)
+    n_swaps = smallworld._RNG_BLOCK + 5000
+    random = rewire_random(net, n_swaps=n_swaps, seed=3)
+    lattice = latticize(net, n_swaps=n_swaps, seed=3)
+    assert (random.accepted, edge_digest(random.network)) == (
+        834231, "726951c195ae2ac0cbca7c8ee467bcd41f8c92e5c1c4f19b5342724a83c1228b")
+    assert (lattice.accepted, edge_digest(lattice.network)) == (
+        1261, "ebf69b11db9cb2e1a7bbc10a9ec6283138c95404740b252121b31be9b98e41a6")
+
+
+def test_small_world_report_same_with_worker_pool(monkeypatch):
+    net = generate_network(ModelSpec("ring-rewire", n=40, k=4, p=0.1, seed=3))
+    monkeypatch.setattr(smallworld, "_worker_count", lambda tasks: 1)
+    serial = small_world_report(net, n_samples=3, seed=5)
+    monkeypatch.setattr(smallworld, "_worker_count", lambda tasks: 2)
+    pooled = small_world_report(net, n_samples=3, seed=5)
+    assert pooled == serial
