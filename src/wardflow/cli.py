@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -66,16 +67,23 @@ def _add_log_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _network_from_log(path: str, args) -> tuple:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    events, stats = parse_event_log(io.StringIO(data.decode("utf-8-sig")), _schema_from_args(args))
+    events, stats = parse_event_log(path, _schema_from_args(args))
     journeys = reconstruct_journeys(events)
     if args.categories:
         category_map = read_category_map(args.categories, default_policy=args.category_policy,
                                          delimiter=args.delimiter)
         journeys = apply_category_map(journeys, category_map)
-        data += Path(args.categories).read_bytes()  # digest covers every input file
-    return build_network(journeys), stats, data
+    return build_network(journeys), stats
+
+
+def _file_digest(paths: list[str]) -> str:
+    """sha256 hex digest of the concatenated bytes of the files, read in blocks."""
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_output(payload: bytes, destination: str | None) -> None:
@@ -87,7 +95,7 @@ def _write_output(payload: bytes, destination: str | None) -> None:
 
 def cmd_build(args) -> int:
     try:
-        net, stats, _ = _network_from_log(args.log, args)
+        net, stats = _network_from_log(args.log, args)
     except (OSError, SchemaError, UnknownLocationError, ValueError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -105,15 +113,16 @@ def cmd_build(args) -> int:
 
 
 def _load_network(args):
+    """The network, its ingest tally (None for network files), and the digest of every input file."""
+    if args.from_log:
+        net, stats = _network_from_log(args.network, args)
+        return net, stats, _file_digest([args.network] + ([args.categories] if args.categories else []))
     path = Path(args.network)
     data = path.read_bytes()
-    if args.from_log:
-        net, stats, raw = _network_from_log(args.network, args)
-        return net, stats, raw
     fmt = args.format or {"": "graphml", ".graphml": "graphml", ".xml": "graphml", ".csv": "edgelist"}.get(
         path.suffix.lower(), "graphml"
     )
-    return import_network(data, fmt, directed=not args.undirected), None, data
+    return import_network(data, fmt, directed=not args.undirected), None, report_mod.input_digest(data)
 
 
 def _write_sidecars(report: dict, directory: str) -> None:
@@ -147,7 +156,7 @@ def _write_sidecars(report: dict, directory: str) -> None:
 
 def cmd_analyze(args) -> int:
     try:
-        net, stats, raw = _load_network(args)
+        net, stats, digest = _load_network(args)
     except (OSError, SchemaError, UnknownLocationError, ValueError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -168,7 +177,7 @@ def cmd_analyze(args) -> int:
             attack_step=args.attack_step,
             skip=skip,
             ingest=stats,
-            digest=report_mod.input_digest(raw),
+            digest=digest,
             weighted_betweenness=args.weighted_betweenness,
         )
     except ValueError as exc:

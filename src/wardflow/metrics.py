@@ -12,9 +12,9 @@ from typing import Mapping
 
 import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
+from . import paths
 from .network import TransferNetwork, to_networkx, undirected_projection
 
 DIRECTED_SCOPE = "directed"
@@ -95,25 +95,6 @@ def reciprocity(net: TransferNetwork) -> float | None:
     return reciprocated / len(net.edges)
 
 
-def _node_index(net: TransferNetwork) -> dict[str, int]:
-    return {node: i for i, node in enumerate(net.sorted_nodes())}
-
-
-def _adjacency(net: TransferNetwork, directed: bool) -> csr_matrix:
-    index = _node_index(net)
-    n = len(index)
-    rows, cols, vals = [], [], []
-    for (u, v), weight in net.edges.items():
-        rows.append(index[u])
-        cols.append(index[v])
-        vals.append(weight)
-        if not directed or not net.directed:
-            rows.append(index[v])
-            cols.append(index[u])
-            vals.append(weight)
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def flow_hierarchy(net: TransferNetwork) -> float | None:
     """Fraction of edges that sit on no directed cycle.
 
@@ -124,8 +105,9 @@ def flow_hierarchy(net: TransferNetwork) -> float | None:
     _require_directed(net, "flow_hierarchy")
     if not net.edges:
         return None
-    index = _node_index(net)
-    _, labels = connected_components(_adjacency(net, directed=True), directed=True, connection="strong")
+    core = paths.GraphCore.from_network(net)
+    index = {label: i for i, label in enumerate(core.labels)}
+    _, labels = connected_components(core.out, directed=True, connection="strong")
     cyclic = sum(1 for (u, v) in net.edges if labels[index[u]] == labels[index[v]])
     return 1.0 - cyclic / len(net.edges)
 
@@ -171,15 +153,16 @@ def betweenness(net: TransferNetwork, use_weights: bool = False) -> dict[str, fl
     """Normalized betweenness centrality (Brandes accumulation).
 
     With use_weights, edge length is 1/weight so heavier traffic means a
-    shorter edge; the default treats every edge as one hop.
+    shorter edge (networkx Dijkstra); the default treats every edge as one
+    hop and runs the batched BFS of `paths`.
     """
+    if not use_weights:
+        core = paths.GraphCore.from_network(net)
+        return {label: float(b) for label, b in zip(core.labels, paths.betweenness(core))}
     graph = to_networkx(net)
-    weight_key = None
-    if use_weights:
-        for u, v, data in graph.edges(data=True):
-            data["distance"] = 1.0 / data["weight"]
-        weight_key = "distance"
-    result = nx.betweenness_centrality(graph, normalized=True, weight=weight_key)
+    for u, v, data in graph.edges(data=True):
+        data["distance"] = 1.0 / data["weight"]
+    result = nx.betweenness_centrality(graph, normalized=True, weight="distance")
     return {node: float(b) for node, b in result.items()}
 
 
@@ -267,19 +250,18 @@ def avg_shortest_path(net: TransferNetwork, scope: str = DIRECTED_SCOPE) -> tupl
     directed = scope == DIRECTED_SCOPE
     if directed:
         _require_directed(net, "avg_shortest_path(directed)")
-    matrix = _adjacency(net, directed=directed)
+    core = paths.GraphCore.from_network(net, symmetric=not directed)
     connection = "strong" if directed else "weak"
-    _, labels = connected_components(matrix, directed=directed, connection=connection)
+    _, labels = connected_components(core.out, directed=directed, connection=connection)
     counts = np.bincount(labels)
     giant = int(counts.argmax())
     members = np.flatnonzero(labels == giant)
     coverage = len(members) / net.node_count
     if len(members) < 2:
         return None, coverage
-    sub = matrix[members][:, members]
-    dist = shortest_path(sub, directed=directed, unweighted=True)
-    off_diagonal = ~np.eye(len(members), dtype=bool)
-    return float(dist[off_diagonal].mean()), coverage
+    # every ordered pair of the giant component is reachable inside it
+    by_distance = paths.distance_counts(core.subgraph(members))
+    return sum(d * count for d, count in enumerate(by_distance)) / sum(by_distance), coverage
 
 
 def compute_node_metrics(net: TransferNetwork, betweenness_weighted: bool = False) -> dict[str, NodeMetrics]:

@@ -1,0 +1,213 @@
+"""Indexed graph core and batched breadth-first searches for unweighted paths.
+
+`GraphCore` numbers the sorted node labels 0..n-1 and keeps the binary
+out-adjacency as CSR together with its transpose. Searches run level by
+level from a batch of sources at once and never form an n x n matrix:
+a batch of `width` sources takes O(width * (n + m)) memory, and
+BATCH_CELLS caps width * (n + m).
+
+- `distance_counts` needs reach sets only. It keeps one bit per (node,
+  source) pair, so a level is a gather along the in-edges and a bitwise or.
+- `betweenness` also needs shortest-path counts (Brandes 2001, J. Math.
+  Sociol. 25:163). `_Batch` pushes counts forward and dependencies back,
+  edge by edge while the frontier is small and as one sparse-matrix x
+  dense-block product once it is large, so a level costs what its frontier
+  costs and long chains stay cheap.
+"""
+from __future__ import annotations
+
+import itertools
+from typing import Iterator, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
+
+from .network import TransferNetwork
+
+# cap on width * (n + m) for a batch of `width` sources
+BATCH_CELLS = 1 << 22
+# a frontier with more than width * (n + m) / DENSE_RATIO edges takes the block product
+DENSE_RATIO = 16
+
+
+class GraphCore:
+    """Sorted labels and the binary out-adjacency (CSR) with its transpose."""
+
+    def __init__(self, labels: Sequence[str], out: csr_matrix):
+        self.labels = list(labels)
+        self.out = out
+        self.inc = out.T.tocsr()
+
+    @classmethod
+    def from_network(cls, net: TransferNetwork, symmetric: bool = False) -> GraphCore:
+        """Index a network; undirected networks, or symmetric=True, get both edge directions."""
+        labels = net.sorted_nodes()
+        index = {label: i for i, label in enumerate(labels)}
+        rows = [index[u] for u, _ in net.edges]
+        cols = [index[v] for _, v in net.edges]
+        if symmetric or not net.directed:
+            rows, cols = rows + cols, cols + rows
+        n = len(labels)
+        out = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        out.sum_duplicates()
+        out.data[:] = 1
+        return cls(labels, out)
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def subgraph(self, members: np.ndarray) -> GraphCore:
+        """Core of the subgraph induced by the given (ascending) node indices."""
+        return GraphCore([self.labels[i] for i in members], self.out[members][:, members])
+
+    def degrees(self) -> np.ndarray:
+        """In-degree plus out-degree of every node."""
+        return np.diff(self.out.indptr) + np.diff(self.inc.indptr)
+
+
+def _width(core: GraphCore) -> int:
+    """Sources per batch."""
+    return max(1, min(core.n, BATCH_CELLS // (core.n + core.out.nnz)))
+
+
+def _batches(core: GraphCore) -> Iterator[_Batch]:
+    """Consecutive batches of sources; they share one order array, so one batch is live at a time."""
+    width = _width(core)
+    order = np.empty(core.n * width, dtype=np.int32)
+    for start in range(0, core.n, width):
+        yield _Batch(core, np.arange(start, min(core.n, start + width)), order)
+
+
+class _Batch:
+    """A BFS from several sources at once.
+
+    The pair (node, j-th source) is the cell node * width + j. order holds
+    each reached cell's position in the concatenation of the BFS levels
+    (-1 while unreached), so a range of order values is one level.
+    """
+
+    def __init__(self, core: GraphCore, sources: np.ndarray, order: np.ndarray):
+        self.core = core
+        self.width = len(sources)
+        self.sources = sources * self.width + np.arange(self.width)
+        self.order = order[:core.n * self.width]
+        self.order.fill(-1)
+
+    def push(self, cells: np.ndarray, values: np.ndarray, forward: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Push each cell's (positive) value one edge along (forward) or against the edges.
+
+        A small frontier is expanded edge by edge into (target cells, values),
+        one entry per edge. A large one takes one sparse-matrix x dense-block
+        product, which costs (n + m) * width whatever the frontier, and comes
+        back as (the summed block, flat, None).
+        """
+        along, against = (self.core.out, self.core.inc) if forward else (self.core.inc, self.core.out)
+        width = self.width
+        nodes, column = np.divmod(cells, width)
+        starts = along.indptr[nodes]
+        counts = along.indptr[nodes + 1] - starts
+        edges = int(counts.sum())
+        if DENSE_RATIO * edges > (self.core.n + along.nnz) * width:
+            block = np.zeros((self.core.n, width))
+            block.ravel()[cells] = values
+            return (against @ block).ravel(), None
+        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        targets = along.indices[offsets + np.arange(edges)] * width + np.repeat(column, counts)
+        return targets, np.repeat(values, counts)
+
+    def levels(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield each BFS level's cells with their shortest-path counts; level 0 is the sources."""
+        cells = self.sources
+        paths = np.ones(self.width)
+        seen = 0
+        while cells.size:
+            self.order[cells] = np.arange(seen, seen + cells.size)
+            seen += cells.size
+            yield cells, paths
+            targets, values = self.push(cells, paths, True)
+            if values is None:
+                cells = np.flatnonzero((targets != 0) & (self.order == -1))
+                paths = targets[cells]
+                continue
+            fresh = self.order[targets] == -1
+            targets, values = targets[fresh], values[fresh]
+            # a cell reached along several edges is owned by its last entry
+            position = np.arange(targets.size)
+            self.order[targets] = -2 - position
+            owner = -2 - self.order[targets]
+            first = owner == position
+            cells = targets[first]
+            paths = np.bincount(owner, weights=values, minlength=targets.size)[first]
+
+
+def distance_counts(core: GraphCore) -> list[int]:
+    """counts[d] = ordered pairs (s, t), s != t, with t at d hops from s; counts[0] = 0.
+
+    Reach sets only, so a batch keeps one bit per (node, source) pair: row
+    v of a (n, words) uint64 block holds the sources whose search has just
+    reached v, and one level is a gather of the frontier rows along the
+    in-edges and a bitwise or per row.
+    """
+    n = core.n
+    width = _width(core)
+    words = -(-width // 64)
+    # row n of the frontier stays zero; gathering it last keeps every reduceat start in range
+    gather = np.append(core.inc.indices, n)
+    starts = core.inc.indptr[:-1]
+    no_in_edges = np.flatnonzero(np.diff(core.inc.indptr) == 0)
+    counts = [0]
+    for first in range(0, n, width):
+        sources = np.arange(first, min(n, first + width))
+        column = sources - first
+        frontier = np.zeros((n + 1, words), dtype=np.uint64)
+        frontier[sources, column // 64] = np.left_shift(np.uint64(1), (column % 64).astype(np.uint64))
+        unreached = ~frontier
+        for level in itertools.count(1):
+            frontier[:n] = np.bitwise_or.reduceat(frontier[gather], starts, axis=0)
+            frontier[no_in_edges] = 0
+            frontier &= unreached
+            new = int(np.bitwise_count(frontier).sum())
+            if not new:
+                break
+            unreached ^= frontier
+            if level == len(counts):
+                counts.append(0)
+            counts[level] += new
+    return counts
+
+
+def betweenness(core: GraphCore) -> np.ndarray:
+    """Normalized directed betweenness, 1/((n-1)(n-2)) scaling, of every node."""
+    n = core.n
+    total = np.zeros(n)
+    for batch in _batches(core):
+        total += _dependencies(batch)
+    if n > 2:
+        total *= 1 / ((n - 1) * (n - 2))
+    return total
+
+
+def _dependencies(batch: _Batch) -> np.ndarray:
+    """Each node's dependency (Brandes' delta), summed over the batch's sources."""
+    levels = list(batch.levels())
+    total = np.zeros(batch.core.n)
+    # delta[v] = paths[v] * sum over successors w on the next level of
+    # (1 + delta[w]) / paths[w]; the deepest level has none
+    delta = np.zeros(levels[-1][0].size)
+    end = sum(cells.size for cells, _ in levels[:-1])
+    for level in range(len(levels) - 1, 0, -1):
+        cells, paths = levels[level]
+        total += np.bincount(cells // batch.width, weights=delta, minlength=total.size)
+        targets, values = batch.push(cells, (1.0 + delta) / paths, False)
+        before, before_paths = levels[level - 1]
+        start = end - before.size
+        if values is None:
+            sums = targets[before]
+        else:
+            slot = batch.order[targets] - start
+            on_path = (slot >= 0) & (slot < before.size)
+            sums = np.bincount(slot[on_path], weights=values[on_path], minlength=before.size)
+        delta = before_paths * sums
+        end = start
+    return total

@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
-from .network import TransferNetwork, as_symmetric_directed, to_networkx
+from . import paths
+from .network import TransferNetwork
 
 RANDOM = "random"
 DEGREE = "degree"
@@ -37,42 +36,30 @@ class AttackResult:
     seed: int | None = None
 
 
-def _measure(matrix: csr_matrix, alive: np.ndarray, n_total: int) -> tuple[float, float, float]:
+def _measure(core: paths.GraphCore, alive: np.ndarray, n_total: int) -> tuple[float, float, float]:
     members = np.flatnonzero(alive)
     if len(members) == 0:
         return 0.0, 0.0, 0.0
     if len(members) == 1:
         return 1.0 / n_total, 1.0 / n_total, 0.0
-    sub = matrix[members][:, members]
-    _, weak = connected_components(sub, directed=True, connection="weak")
-    _, strong = connected_components(sub, directed=True, connection="strong")
+    sub = core.subgraph(members)
+    _, weak = connected_components(sub.out, directed=True, connection="weak")
+    _, strong = connected_components(sub.out, directed=True, connection="strong")
     wcc = int(np.bincount(weak).max()) / n_total
     scc = int(np.bincount(strong).max()) / n_total
-    dist = shortest_path(sub, directed=True, unweighted=True)
-    off_diag = ~np.eye(len(members), dtype=bool)
-    finite = np.isfinite(dist) & off_diag
-    inv_sum = float((1.0 / dist[finite]).sum()) if finite.any() else 0.0
+    inv_sum = sum(count / d for d, count in enumerate(paths.distance_counts(sub)) if d)
     efficiency = inv_sum / (len(members) * (len(members) - 1))
     return wcc, scc, efficiency
 
 
-def _degree_ranking(matrix: csr_matrix, alive: np.ndarray, labels: list[str]) -> list[int]:
+def _ranking(core: paths.GraphCore, alive: np.ndarray,
+             score: Callable[[paths.GraphCore], np.ndarray]) -> list[int]:
+    """Alive node indices by descending score on the alive subgraph, ties broken by label."""
     members = np.flatnonzero(alive)
-    sub = matrix[members][:, members]
-    binary = sub.copy()
-    binary.data = np.ones_like(binary.data)
-    totals = np.asarray(binary.sum(axis=0)).ravel() + np.asarray(binary.sum(axis=1)).ravel()
-    ranked = sorted(range(len(members)), key=lambda i: (-totals[i], labels[members[i]]))
+    sub = core.subgraph(members)
+    scores = score(sub)
+    ranked = sorted(range(len(members)), key=lambda i: (-scores[i], sub.labels[i]))
     return [int(members[i]) for i in ranked]
-
-
-def _betweenness_ranking(graph: nx.DiGraph, alive: np.ndarray, labels: list[str]) -> list[int]:
-    members = [labels[i] for i in np.flatnonzero(alive)]
-    sub = graph.subgraph(members)
-    centrality = nx.betweenness_centrality(sub, normalized=True)
-    index = {label: i for i, label in enumerate(labels)}
-    ranked = sorted(members, key=lambda node: (-centrality[node], node))
-    return [index[node] for node in ranked]
 
 
 def attack(net: TransferNetwork, strategy: str, step_fraction: float = 0.05,
@@ -90,17 +77,9 @@ def attack(net: TransferNetwork, strategy: str, step_fraction: float = 0.05,
         raise ValueError("step_fraction must be in (0, 1]")
     if net.node_count < 2:
         raise ValueError("attack needs at least 2 nodes")
-    directed_net = as_symmetric_directed(net)
-    labels = directed_net.sorted_nodes()
-    index = {label: i for i, label in enumerate(labels)}
-    n = len(labels)
-
-    rows, cols = [], []
-    for u, v in directed_net.edges:
-        rows.append(index[u])
-        cols.append(index[v])
-    matrix = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    graph = to_networkx(directed_net) if strategy == BETWEENNESS else None
+    core = paths.GraphCore.from_network(net)  # undirected edges count both ways
+    index = {label: i for i, label in enumerate(core.labels)}
+    n = core.n
 
     if strategy == RANDOM:
         if seed is None:
@@ -129,19 +108,17 @@ def attack(net: TransferNetwork, strategy: str, step_fraction: float = 0.05,
 
     alive = np.ones(n, dtype=bool)
     per_step = max(1, round(step_fraction * n))
-    steps = [AttackStep(0.0, *_measure(matrix, alive, n))]
+    steps = [AttackStep(0.0, *_measure(core, alive, n))]
+    score = paths.GraphCore.degrees if strategy == DEGREE else paths.betweenness
 
     if strategy in (DEGREE, BETWEENNESS) and policy == STATIC:
-        schedule = (_degree_ranking(matrix, alive, labels) if strategy == DEGREE
-                    else _betweenness_ranking(graph, alive, labels))
+        schedule = _ranking(core, alive, score)
 
     removed = 0
     cursor = 0
     while alive.any():
         if strategy in (DEGREE, BETWEENNESS) and policy == ADAPTIVE:
-            ranking = (_degree_ranking(matrix, alive, labels) if strategy == DEGREE
-                       else _betweenness_ranking(graph, alive, labels))
-            batch = ranking[:per_step]
+            batch = _ranking(core, alive, score)[:per_step]
         else:
             batch = schedule[cursor:cursor + per_step]
             cursor += len(batch)
@@ -149,7 +126,7 @@ def attack(net: TransferNetwork, strategy: str, step_fraction: float = 0.05,
                 break
         alive[batch] = False
         removed += len(batch)
-        steps.append(AttackStep(removed / n, *_measure(matrix, alive, n)))
+        steps.append(AttackStep(removed / n, *_measure(core, alive, n)))
 
     return AttackResult(name, policy, step_fraction, tuple(steps), seed=seed)
 

@@ -287,3 +287,21 @@ def test_report_bytes_do_not_depend_on_the_string_hash_seed(tmp_path, capsys):
         )
         reports.append(result.stdout)
     assert reports[0] == reports[1]
+
+
+def test_input_digest_covers_every_input_file(log_file, tmp_path, capsys):
+    import hashlib
+
+    categories = tmp_path / "map.csv"
+    categories.write_text(CATEGORIES)
+    code, out, _ = run(capsys, "analyze", log_file, "--from-log", "--categories", categories,
+                       "--skip", "small_world,fits,resilience")
+    assert code == 0
+    expected = hashlib.sha256(log_file.read_bytes() + categories.read_bytes()).hexdigest()
+    assert json.loads(out)["input"]["digest"] == expected
+
+    net = tmp_path / "net.graphml"
+    assert run(capsys, "build", log_file, "-o", net)[0] == 0
+    code, out, _ = run(capsys, "analyze", net, "--skip", "small_world,fits,resilience")
+    assert code == 0
+    assert json.loads(out)["input"]["digest"] == hashlib.sha256(net.read_bytes()).hexdigest()

@@ -113,3 +113,38 @@ def test_giant_wcc_area_of_flat_curve():
     from wardflow.resilience import AttackResult
 
     assert giant_wcc_area(AttackResult("x", STATIC, 0.5, steps)) == pytest.approx(1.0)
+
+
+# Recorded with the networkx-based ranking: the betweenness attack's removal
+# order (ties broken by label) and its steps on a seeded network.
+GOLDEN_BETWEENNESS_ORDER = [
+    "w05", "w00", "w01", "w04", "w02", "w07", "w11", "w28", "w18", "w22", "w19", "w39",
+    "w17", "w45", "w48", "w15", "w21", "w58", "w10", "w30", "w23", "w26", "w44", "w50",
+    "w14", "w31", "w24", "w03", "w06", "w08", "w09", "w12", "w13", "w16", "w20", "w25",
+    "w27", "w29", "w32", "w33", "w34", "w35", "w36", "w37", "w38", "w40", "w41", "w42",
+    "w43", "w46", "w47", "w49", "w51", "w52", "w53", "w54", "w55", "w56", "w57", "w59",
+]
+GOLDEN_BETWEENNESS_STEPS = [
+    (0.0, 1.0, 1.0, 0.41918079096045197),
+    (0.1, 0.5666666666666667, 0.5666666666666667, 0.11566400832648213),
+    (0.2, 0.15, 0.15, 0.039790189125295514),
+    (0.3, 0.08333333333333333, 0.08333333333333333, 0.024003097173828883),
+    (0.4, 0.06666666666666667, 0.06666666666666667, 0.012433862433862434),
+    (0.5, 0.03333333333333333, 0.03333333333333333, 0.0022988505747126436),
+    (0.6, 0.03333333333333333, 0.03333333333333333, 0.0036231884057971015),
+    (0.7, 0.03333333333333333, 0.03333333333333333, 0.006535947712418301),
+    (0.8, 0.016666666666666666, 0.016666666666666666, 0.0),
+    (0.9, 0.016666666666666666, 0.016666666666666666, 0.0),
+    (1.0, 0.0, 0.0, 0.0),
+]
+
+
+def test_betweenness_attack_matches_recorded_order_and_steps():
+    net = generate_network(ModelSpec("preferential-attachment", n=60, seed=11, m=2))
+    result = attack(net, "betweenness", step_fraction=0.1)
+    replay = attack(net, "explicit", order=GOLDEN_BETWEENNESS_ORDER, step_fraction=0.1)
+    assert result.steps == replay.steps
+    assert len(result.steps) == len(GOLDEN_BETWEENNESS_STEPS)
+    for step, (fraction, wcc, scc, efficiency) in zip(result.steps, GOLDEN_BETWEENNESS_STEPS):
+        assert (step.fraction_removed, step.wcc_fraction, step.scc_fraction) == (fraction, wcc, scc)
+        assert step.efficiency == pytest.approx(efficiency, rel=1e-12, abs=0.0)
