@@ -9,7 +9,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, report as report_mod
+from . import __version__, metrics as metrics_mod, report as report_mod
 from .eventlog import (
     KEEP_AS_IS,
     REJECT_UNKNOWN,
@@ -21,7 +21,7 @@ from .eventlog import (
     read_category_map,
     reconstruct_journeys,
 )
-from .network import build_network, export_network, import_network
+from .network import TransferNetwork, build_network, export_network, import_network
 from .synth import ModelSpec, generate_event_log, generate_network, geometric_stop_lengths, write_event_log_csv
 
 EXIT_OK = 0
@@ -125,7 +125,7 @@ def _load_network(args):
     return import_network(data, fmt, directed=not args.undirected), None, report_mod.input_digest(data)
 
 
-def _write_sidecars(report: dict, directory: str) -> None:
+def _write_sidecars(report: dict, net: TransferNetwork, directory: str) -> None:
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     metrics = report.get("network_metrics") or {}
@@ -135,16 +135,11 @@ def _write_sidecars(report: dict, directory: str) -> None:
         writer.writerow(["degree", "probability"])
         for k in sorted(distribution, key=int):
             writer.writerow([k, distribution[k]])
-    nodes = report.get("node_metrics") or []
-    by_degree: dict[int, list[float]] = {}
-    for row in nodes:
-        if row.get("knn_weighted") is not None:
-            by_degree.setdefault(row["degree"], []).append(row["knn_weighted"])
+    _, curve, _ = metrics_mod.knn(net)  # by projected degree, the curve `fits.knn_degree` fits
     with open(base / "knn_curve.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["degree", "mean_knn_weighted"])
-        for k in sorted(by_degree):
-            writer.writerow([k, sum(by_degree[k]) / len(by_degree[k])])
+        writer.writerows(curve.items())
     for strategy, attack in (report.get("resilience") or {}).items():
         with open(base / f"attack_{strategy}.csv", "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -184,7 +179,7 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.sidecar_dir:
-        _write_sidecars(report, args.sidecar_dir)
+        _write_sidecars(report, net, args.sidecar_dir)
     text = json.dumps(report, indent=2, allow_nan=False)
     print(text)
     return EXIT_ANALYSIS if report.get("all_sections_failed") else EXIT_OK

@@ -197,7 +197,11 @@ def apply_category_map(journeys: Iterable[AdmissionJourney], category_map: Categ
 
 
 def read_category_map(source: IO | str, default_policy: str = KEEP_AS_IS, delimiter: str = ",") -> CategoryMap:
-    """Load a two-column (location, category) file; a header row is skipped."""
+    """Load a two-column (location, category) file; a header row is skipped.
+
+    A location listed again with the same category is accepted; with another
+    category it is a ValueError.
+    """
     entries: dict[str, str] = {}
     with _text_stream(source) as stream:
         for i, row in enumerate(csv.reader(stream, delimiter=delimiter)):
@@ -208,5 +212,6 @@ def read_category_map(source: IO | str, default_policy: str = KEEP_AS_IS, delimi
             location, category = row[0].strip(), row[1].strip()
             if i == 0 and (location.lower(), category.lower()) == ("location", "category"):
                 continue
-            entries[location] = category
+            if entries.setdefault(location, category) != category:
+                raise ValueError(f"category map lists {location!r} as both {entries[location]!r} and {category!r}")
     return CategoryMap(entries, default_policy)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from . import paths
-from .network import TransferNetwork, to_networkx, undirected_projection
+from .network import TransferNetwork, to_networkx
 
 DIRECTED_SCOPE = "directed"
 PROJECTION_SCOPE = "undirected-projection"
@@ -64,26 +64,19 @@ def _require_directed(net: TransferNetwork, op: str) -> None:
 def degrees(net: TransferNetwork) -> dict[str, tuple[int, int, int, int]]:
     """Per node (k, in_degree, out_degree, net_connectivity=in-out)."""
     _require_directed(net, "degrees")
-    in_deg = {node: 0 for node in net.nodes}
-    out_deg = {node: 0 for node in net.nodes}
-    for u, v in net.edges:
-        out_deg[u] += 1
-        in_deg[v] += 1
-    return {
-        node: (in_deg[node] + out_deg[node], in_deg[node], out_deg[node], in_deg[node] - out_deg[node])
-        for node in net.nodes
-    }
+    core = net.core
+    in_deg = np.diff(core.inc.indptr).tolist()
+    out_deg = np.diff(core.out.indptr).tolist()
+    return {label: (i + o, i, o, i - o) for label, i, o in zip(core.labels, in_deg, out_deg)}
 
 
 def strengths(net: TransferNetwork) -> dict[str, tuple[int, int, int]]:
     """Per node (s, in_strength, out_strength); s sums all incident weights."""
     _require_directed(net, "strengths")
-    in_s = {node: 0 for node in net.nodes}
-    out_s = {node: 0 for node in net.nodes}
-    for (u, v), weight in net.edges.items():
-        out_s[u] += weight
-        in_s[v] += weight
-    return {node: (in_s[node] + out_s[node], in_s[node], out_s[node]) for node in net.nodes}
+    core = net.core
+    in_s = np.asarray(core.weighted.sum(axis=0)).ravel().tolist()
+    out_s = np.asarray(core.weighted.sum(axis=1)).ravel().tolist()
+    return {label: (i + o, i, o) for label, i, o in zip(core.labels, in_s, out_s)}
 
 
 def reciprocity(net: TransferNetwork) -> float | None:
@@ -105,21 +98,10 @@ def flow_hierarchy(net: TransferNetwork) -> float | None:
     _require_directed(net, "flow_hierarchy")
     if not net.edges:
         return None
-    core = paths.GraphCore.from_network(net)
-    index = {label: i for i, label in enumerate(core.labels)}
-    _, labels = connected_components(core.out, directed=True, connection="strong")
-    cyclic = sum(1 for (u, v) in net.edges if labels[index[u]] == labels[index[v]])
+    core = net.core
+    _, component = connected_components(core.out, directed=True, connection="strong")
+    cyclic = int(np.count_nonzero(component[core.sources()] == component[core.out.indices]))
     return 1.0 - cyclic / len(net.edges)
-
-
-def _neighbor_sets(net: TransferNetwork) -> dict[str, set[str]]:
-    projection = undirected_projection(net)
-    # label order, so float sums over these dicts do not follow the string hash seed
-    neighbors: dict[str, set[str]] = {node: set() for node in net.sorted_nodes()}
-    for u, v in projection.edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    return neighbors
 
 
 def clustering(net: TransferNetwork) -> tuple[dict[str, float], float | None, float | None]:
@@ -128,22 +110,18 @@ def clustering(net: TransferNetwork) -> tuple[dict[str, float], float | None, fl
     Computed on the undirected projection. Nodes with fewer than two
     neighbours get coefficient 0.
     """
-    neighbors = _neighbor_sets(net)
-    local: dict[str, float] = {}
-    closed_triples = 0
-    triples = 0
-    for node, around in neighbors.items():
-        d = len(around)
-        if d < 2:
-            local[node] = 0.0
-            continue
-        links = 0
-        for u in around:
-            links += len(neighbors[u] & around)
-        links //= 2
-        local[node] = links / (d * (d - 1) / 2)
-        closed_triples += links  # each triangle counted once per corner
-        triples += d * (d - 1) // 2
+    core = net.core.projection
+    adjacency = core.out
+    degree = np.diff(adjacency.indptr)
+    # A^2 restricted to A's entries counts each triangle at a node twice
+    links = (np.asarray((adjacency @ adjacency).multiply(adjacency).sum(axis=1)).ravel() // 2).astype(np.int64)
+    local = {
+        label: l / (d * (d - 1) / 2) if d >= 2 else 0.0
+        for label, d, l in zip(core.labels, degree.tolist(), links.tolist())
+    }
+    closed_triples = int(links.sum())  # each triangle counted once per corner
+    triples = int((degree * (degree - 1) // 2).sum())
+    # label order, so the mean does not follow the string hash seed
     c_av = sum(local.values()) / len(local) if local else None
     transitivity = closed_triples / triples if triples else None
     return local, c_av, transitivity
@@ -157,7 +135,7 @@ def betweenness(net: TransferNetwork, use_weights: bool = False) -> dict[str, fl
     hop and runs the batched BFS of `paths`.
     """
     if not use_weights:
-        core = paths.GraphCore.from_network(net)
+        core = net.core
         return {label: float(b) for label, b in zip(core.labels, paths.betweenness(core))}
     graph = to_networkx(net)
     for u, v, data in graph.edges(data=True):
@@ -176,28 +154,37 @@ def _pearson(xs: np.ndarray, ys: np.ndarray) -> float | None:
     return float(((xs - xs.mean()) * (ys - ys.mean())).mean() / (sx * sy))
 
 
+def _endpoints(net: TransferNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices of each edge's endpoints, in `net.edges` order (the order `_pearson` sums in)."""
+    index = net.core.index
+    return (np.array([index[u] for u, _ in net.edges], dtype=np.int64),
+            np.array([index[v] for _, v in net.edges], dtype=np.int64))
+
+
 def assortativity(net: TransferNetwork) -> float | None:
     """Pearson correlation of (source out-degree, target in-degree) over edges."""
     _require_directed(net, "assortativity")
     if len(net.edges) < 2:
         return None
-    degree_map = degrees(net)
-    xs = np.array([degree_map[u][2] for (u, v) in net.edges], dtype=float)
-    ys = np.array([degree_map[v][1] for (u, v) in net.edges], dtype=float)
+    core = net.core
+    sources, targets = _endpoints(net)
+    xs = np.diff(core.out.indptr)[sources].astype(float)
+    ys = np.diff(core.inc.indptr)[targets].astype(float)
     return _pearson(xs, ys)
 
 
 def assortativity_undirected(net: TransferNetwork) -> float | None:
     """Degree correlation over the undirected projection, both edge orientations."""
-    projection = undirected_projection(net)
-    if len(projection.edges) < 2:
+    sources, targets = _endpoints(net)
+    low, high = np.minimum(sources, targets), np.maximum(sources, targets)
+    # projected edges in the order of their first directed edge
+    _, first = np.unique(low * net.node_count + high, return_index=True)
+    first.sort()
+    if len(first) < 2:
         return None
-    degree_of = {node: len(around) for node, around in _neighbor_sets(projection).items()}
-    xs, ys = [], []
-    for u, v in projection.edges:
-        xs.extend((degree_of[u], degree_of[v]))
-        ys.extend((degree_of[v], degree_of[u]))
-    return _pearson(np.array(xs, dtype=float), np.array(ys, dtype=float))
+    degree = np.diff(net.core.projection.out.indptr)
+    ends = np.column_stack([degree[low[first]], degree[high[first]]]).astype(float)
+    return _pearson(ends.ravel(), ends[:, ::-1].ravel())
 
 
 def knn(net: TransferNetwork) -> tuple[dict[str, float | None], dict[int, float], tuple[float, float] | None]:
@@ -207,22 +194,16 @@ def knn(net: TransferNetwork) -> tuple[dict[str, float | None], dict[int, float]
     k_nn over nodes of each degree, and the (slope, intercept) of an
     ordinary least squares line through the curve points.
     """
-    projection = undirected_projection(net)
-    neighbors = _neighbor_sets(projection)
-    degree_of = {node: len(around) for node, around in neighbors.items()}
+    core = net.core.projection
+    degree = np.diff(core.weighted.indptr)
+    strength = np.asarray(core.weighted.sum(axis=1)).ravel()
+    mixed = core.weighted @ degree
     per_node: dict[str, float | None] = {}
-    for node, around in neighbors.items():
-        if not around:
-            per_node[node] = None
-            continue
-        strength = sum(projection.weight(node, other) for other in around)
-        mixed = sum(projection.weight(node, other) * degree_of[other] for other in around)
-        per_node[node] = mixed / strength
-
     by_degree: dict[int, list[float]] = {}
-    for node, value in per_node.items():
-        if value is not None:
-            by_degree.setdefault(degree_of[node], []).append(value)
+    for label, k, s, m in zip(core.labels, degree.tolist(), strength.tolist(), mixed.tolist()):
+        per_node[label] = m / s if k else None
+        if k:
+            by_degree.setdefault(k, []).append(per_node[label])
     curve = {k: sum(vals) / len(vals) for k, vals in sorted(by_degree.items())}
 
     fit = None
@@ -250,7 +231,7 @@ def avg_shortest_path(net: TransferNetwork, scope: str = DIRECTED_SCOPE) -> tupl
     directed = scope == DIRECTED_SCOPE
     if directed:
         _require_directed(net, "avg_shortest_path(directed)")
-    core = paths.GraphCore.from_network(net, symmetric=not directed)
+    core = net.core if directed else net.core.projection
     connection = "strong" if directed else "weak"
     _, labels = connected_components(core.out, directed=directed, connection=connection)
     counts = np.bincount(labels)
@@ -272,7 +253,7 @@ def compute_node_metrics(net: TransferNetwork, betweenness_weighted: bool = Fals
     centrality = betweenness(net, use_weights=betweenness_weighted)
     knn_map, _, _ = knn(net)
     out = {}
-    for node in net.sorted_nodes():
+    for node in net.core.labels:
         k, in_deg, out_deg, nc = degree_map[node]
         s, in_s, out_s = strength_map[node]
         out[node] = NodeMetrics(
@@ -331,13 +312,8 @@ def compute_network_metrics(net: TransferNetwork) -> NetworkMetrics:
     if a_undirected is None:
         absent("assortativity_undirected", "fewer than 2 projected edges or zero degree variance")
 
-    degree_map = degrees(net)
-    p_k: dict[int, float] = {}
-    if degree_map:
-        n = len(degree_map)
-        for k, *_ in degree_map.values():
-            p_k[k] = p_k.get(k, 0) + 1
-        p_k = {k: count / n for k, count in sorted(p_k.items())}
+    by_degree = np.bincount(net.core.degrees()).tolist()
+    p_k = {k: count / net.node_count for k, count in enumerate(by_degree) if count}
 
     return NetworkMetrics(
         node_count=net.node_count,

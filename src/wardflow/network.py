@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
+import numpy as np
+from scipy.sparse import csr_matrix
 
 from .eventlog import AdmissionJourney
 
@@ -49,13 +52,78 @@ class TransferNetwork:
     def total_weight(self) -> int:
         return sum(self.edges.values())
 
-    def weight(self, u: str, v: str) -> int:
-        if self.directed:
-            return self.edges.get((u, v), 0)
-        return self.edges.get((u, v) if u <= v else (v, u), 0)
-
     def sorted_nodes(self) -> list[str]:
         return sorted(self.nodes)
+
+    @functools.cached_property
+    def core(self) -> GraphCore:
+        """The network indexed once; every analysis reads its views from here."""
+        return GraphCore.from_network(self)
+
+
+class GraphCore:
+    """Sorted node labels and the adjacency indexed by them.
+
+    `weighted` is the out-adjacency as CSR with the integer edge weights as
+    data; `out` shares its structure with data 1, and `inc` is the transpose
+    of `out` (the breadth-first searches multiply with both). An undirected
+    network stores each edge in both directions.
+    """
+
+    def __init__(self, labels: Sequence[str], weighted: csr_matrix, directed: bool):
+        weighted.sum_duplicates()
+        self.labels = list(labels)
+        self.directed = directed
+        self.weighted = weighted
+        self.out = csr_matrix((np.ones(weighted.nnz), weighted.indices, weighted.indptr), shape=weighted.shape)
+        self.inc = self.out.T.tocsr()
+
+    @classmethod
+    def from_network(cls, net: TransferNetwork) -> GraphCore:
+        """Index a network; `TransferNetwork.core` calls this once per network."""
+        labels = net.sorted_nodes()
+        index = {label: i for i, label in enumerate(labels)}
+        rows = [index[u] for u, _ in net.edges]
+        cols = [index[v] for _, v in net.edges]
+        weights = list(net.edges.values())
+        if not net.directed:
+            rows, cols, weights = rows + cols, cols + rows, weights + weights
+        n = len(labels)
+        weighted = csr_matrix((np.array(weights, dtype=np.int64), (rows, cols)), shape=(n, n))
+        core = cls(labels, weighted, net.directed)
+        core.index = index
+        return core
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    @functools.cached_property
+    def index(self) -> dict[str, int]:
+        """Label -> node index."""
+        return {label: i for i, label in enumerate(self.labels)}
+
+    @functools.cached_property
+    def projection(self) -> GraphCore:
+        """The undirected projection: one edge per linked pair, antiparallel weights summed.
+
+        An undirected network is its own projection.
+        """
+        if not self.directed:
+            return self
+        return GraphCore(self.labels, (self.weighted + self.weighted.T).tocsr(), directed=False)
+
+    def subgraph(self, members: np.ndarray) -> GraphCore:
+        """Core of the subgraph induced by the given (ascending) node indices."""
+        return GraphCore([self.labels[i] for i in members], self.weighted[members][:, members], self.directed)
+
+    def sources(self) -> np.ndarray:
+        """Source index of every stored edge in CSR order; `out.indices` holds the targets."""
+        return np.repeat(np.arange(self.n), np.diff(self.out.indptr))
+
+    def degrees(self) -> np.ndarray:
+        """In-degree plus out-degree of every node."""
+        return np.diff(self.out.indptr) + np.diff(self.inc.indptr)
 
 
 def build_network(journeys: Iterable[AdmissionJourney]) -> TransferNetwork:

@@ -1,6 +1,6 @@
-"""Indexed graph core and batched breadth-first searches for unweighted paths.
+"""Batched breadth-first searches for unweighted paths on a network's `GraphCore`.
 
-`GraphCore` numbers the sorted node labels 0..n-1 and keeps the binary
+The core numbers the sorted node labels 0..n-1 and keeps the binary
 out-adjacency as CSR together with its transpose. Searches run level by
 level from a batch of sources at once and never form an n x n matrix:
 a batch of `width` sources takes O(width * (n + m)) memory, and
@@ -17,53 +17,16 @@ BATCH_CELLS caps width * (n + m).
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from .network import TransferNetwork
+from .network import GraphCore
 
 # cap on width * (n + m) for a batch of `width` sources
 BATCH_CELLS = 1 << 22
 # a frontier with more than width * (n + m) / DENSE_RATIO edges takes the block product
 DENSE_RATIO = 16
-
-
-class GraphCore:
-    """Sorted labels and the binary out-adjacency (CSR) with its transpose."""
-
-    def __init__(self, labels: Sequence[str], out: csr_matrix):
-        self.labels = list(labels)
-        self.out = out
-        self.inc = out.T.tocsr()
-
-    @classmethod
-    def from_network(cls, net: TransferNetwork, symmetric: bool = False) -> GraphCore:
-        """Index a network; undirected networks, or symmetric=True, get both edge directions."""
-        labels = net.sorted_nodes()
-        index = {label: i for i, label in enumerate(labels)}
-        rows = [index[u] for u, _ in net.edges]
-        cols = [index[v] for _, v in net.edges]
-        if symmetric or not net.directed:
-            rows, cols = rows + cols, cols + rows
-        n = len(labels)
-        out = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        out.sum_duplicates()
-        out.data[:] = 1
-        return cls(labels, out)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def subgraph(self, members: np.ndarray) -> GraphCore:
-        """Core of the subgraph induced by the given (ascending) node indices."""
-        return GraphCore([self.labels[i] for i in members], self.out[members][:, members])
-
-    def degrees(self) -> np.ndarray:
-        """In-degree plus out-degree of every node."""
-        return np.diff(self.out.indptr) + np.diff(self.inc.indptr)
 
 
 def _width(core: GraphCore) -> int:

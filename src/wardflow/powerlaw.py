@@ -351,13 +351,16 @@ def fit_strength_degree(net: TransferNetwork, threshold: float = 2.0) -> Regress
     The baseline records the mean edge weight, i.e. the strength a node
     would have if weights were uncorrelated with degree (s = w_mean * k).
     """
-    degree_map = metrics_mod.degrees(net)
-    strength_map = metrics_mod.strengths(net)
-    labels = [node for node in net.sorted_nodes() if degree_map[node][0] >= 1]
-    if len(labels) < 3:
+    metrics_mod._require_directed(net, "fit_strength_degree")
+    core = net.core
+    degree = core.degrees()
+    strength = np.asarray(core.weighted.sum(axis=0)).ravel() + np.asarray(core.weighted.sum(axis=1)).ravel()
+    linked = np.flatnonzero(degree >= 1)
+    if len(linked) < 3:
         raise ValueError("need at least 3 nodes with degree >= 1")
-    k = np.array([degree_map[node][0] for node in labels], dtype=float)
-    s = np.array([strength_map[node][0] for node in labels], dtype=float)
+    labels = [core.labels[i] for i in linked]
+    k = degree[linked].astype(float)
+    s = strength[linked].astype(float)
     design = np.column_stack([np.log(k), np.ones(len(k))])
     coef, sigma, outliers = _ols_outliers(design, np.log(s), labels, threshold)
     baseline = net.total_weight / net.edge_count

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from . import paths
-from .network import TransferNetwork
+from .network import GraphCore, TransferNetwork
 
 RANDOM = "random"
 DEGREE = "degree"
@@ -36,7 +36,7 @@ class AttackResult:
     seed: int | None = None
 
 
-def _measure(core: paths.GraphCore, alive: np.ndarray, n_total: int) -> tuple[float, float, float]:
+def _measure(core: GraphCore, alive: np.ndarray, n_total: int) -> tuple[float, float, float]:
     members = np.flatnonzero(alive)
     if len(members) == 0:
         return 0.0, 0.0, 0.0
@@ -52,8 +52,7 @@ def _measure(core: paths.GraphCore, alive: np.ndarray, n_total: int) -> tuple[fl
     return wcc, scc, efficiency
 
 
-def _ranking(core: paths.GraphCore, alive: np.ndarray,
-             score: Callable[[paths.GraphCore], np.ndarray]) -> list[int]:
+def _ranking(core: GraphCore, alive: np.ndarray, score: Callable[[GraphCore], np.ndarray]) -> list[int]:
     """Alive node indices by descending score on the alive subgraph, ties broken by label."""
     members = np.flatnonzero(alive)
     sub = core.subgraph(members)
@@ -77,8 +76,7 @@ def attack(net: TransferNetwork, strategy: str, step_fraction: float = 0.05,
         raise ValueError("step_fraction must be in (0, 1]")
     if net.node_count < 2:
         raise ValueError("attack needs at least 2 nodes")
-    core = paths.GraphCore.from_network(net)  # undirected edges count both ways
-    index = {label: i for i, label in enumerate(core.labels)}
+    core = net.core  # undirected edges count both ways
     n = core.n
 
     if strategy == RANDOM:
@@ -91,10 +89,10 @@ def attack(net: TransferNetwork, strategy: str, step_fraction: float = 0.05,
     elif strategy == EXPLICIT:
         if order is None:
             raise ValueError("explicit strategy needs an order of node labels")
-        unknown = [label for label in order if label not in index]
+        unknown = [label for label in order if label not in core.index]
         if unknown:
             raise ValueError(f"unknown nodes in removal order: {unknown}")
-        schedule = [index[label] for label in order]
+        schedule = [core.index[label] for label in order]
         policy = recompute_policy or STATIC
         name = "explicit-list"
     elif strategy in (DEGREE, BETWEENNESS):
@@ -109,7 +107,7 @@ def attack(net: TransferNetwork, strategy: str, step_fraction: float = 0.05,
     alive = np.ones(n, dtype=bool)
     per_step = max(1, round(step_fraction * n))
     steps = [AttackStep(0.0, *_measure(core, alive, n))]
-    score = paths.GraphCore.degrees if strategy == DEGREE else paths.betweenness
+    score = GraphCore.degrees if strategy == DEGREE else paths.betweenness
 
     if strategy in (DEGREE, BETWEENNESS) and policy == STATIC:
         schedule = _ranking(core, alive, score)

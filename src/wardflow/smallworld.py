@@ -100,16 +100,17 @@ def _swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation, rank, present, n):
 
 def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
                 lattice_rank: list[int] | None) -> tuple[TransferNetwork, int, int]:
-    ordered = sorted(net.edges)
-    if len(ordered) < 2 or n_swaps < 1:
+    if net.edge_count < 2 or n_swaps < 1:
         return net, max(n_swaps, 0), 0
-    labels = net.sorted_nodes()
-    n = len(labels)
-    index = {label: i for i, label in enumerate(labels)}
-    # integer order follows label order, so u < v matches canonical edges
-    edge_u = [index[u] for u, _ in ordered]
-    edge_v = [index[v] for _, v in ordered]
-    weights = [net.edges[edge] for edge in ordered]
+    core = net.core
+    labels = core.labels
+    n = core.n
+    # each edge once, u < v, in sorted order; integer order follows label order
+    sources = core.sources()
+    upper = sources < core.weighted.indices
+    edge_u = sources[upper].tolist()
+    edge_v = core.weighted.indices[upper].tolist()
+    weights = core.weighted.data[upper].tolist()
     present = {u * n + v for u, v in zip(edge_u, edge_v)}
 
     accepted = 0
@@ -117,8 +118,8 @@ def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
     while remaining > 0:
         take = min(_RNG_BLOCK, remaining)
         remaining -= take
-        pick_a = rng.integers(0, len(ordered), size=take)
-        pick_b = rng.integers(0, len(ordered), size=take)
+        pick_a = rng.integers(0, len(edge_u), size=take)
+        pick_b = rng.integers(0, len(edge_u), size=take)
         orientation = rng.integers(0, 2, size=take)
         # the kernel runs on Python ints; converting a whole block at once
         # would hold three lists of a million boxed ints
@@ -165,16 +166,11 @@ def latticize(net: TransferNetwork, seed: int = 0, n_swaps: int | None = None) -
     _require_undirected(net, "latticize")
     if n_swaps is None:
         n_swaps = _DEFAULT_LATTICE_FACTOR * net.edge_count
-    degree_of: dict[str, int] = {node: 0 for node in net.nodes}
-    for u, v in net.edges:
-        degree_of[u] += 1
-        degree_of[v] += 1
-    labels = net.sorted_nodes()
-    rank = [0] * len(labels)
-    by_degree = sorted(labels, key=lambda x: (degree_of[x], x))
-    position = {label: i for i, label in enumerate(labels)}
-    for order_index, node in enumerate(by_degree):
-        rank[position[node]] = order_index
+    # node indices follow label order, so a stable sort by degree breaks ties by label
+    by_degree = np.argsort(np.diff(net.core.out.indptr), kind="stable")
+    rank = np.empty(net.node_count, dtype=np.int64)
+    rank[by_degree] = np.arange(net.node_count)
+    rank = rank.tolist()
 
     rng = np.random.default_rng(seed)
     rewired, attempted, accepted = _swap_edges(net, n_swaps, rng, lattice_rank=rank)

@@ -10,7 +10,7 @@ import networkx as nx
 import numpy as np
 
 from .eventlog import AdmissionJourney, LogSchema
-from .network import TransferNetwork, as_symmetric_directed, from_networkx
+from .network import TransferNetwork, from_networkx
 
 PREFERENTIAL_ATTACHMENT = "preferential-attachment"
 RING_REWIRE = "ring-rewire"
@@ -103,21 +103,13 @@ def generate_event_log(net: TransferNetwork, n_journeys: int,
         raise ValueError("network needs at least one edge")
     if length_sampler is None:
         length_sampler = geometric_stop_lengths()
-    directed = as_symmetric_directed(net)
-    labels = directed.sorted_nodes()
-    index = {label: i for i, label in enumerate(labels)}
-
-    neighbors: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in labels]
-    cumulative: list[np.ndarray] = [np.empty(0) for _ in labels]
-    out_strength = np.zeros(len(labels))
-    targets: dict[int, list[tuple[str, int]]] = {}
-    for (u, v), weight in directed.edges.items():
-        targets.setdefault(index[u], []).append((v, weight))
-        out_strength[index[u]] += weight
-    for i, entries in targets.items():
-        entries.sort()
-        neighbors[i] = np.array([index[v] for v, _ in entries], dtype=np.int64)
-        cumulative[i] = np.cumsum([w for _, w in entries]).astype(float)
+    core = net.core  # an undirected network's core holds each edge in both directions
+    labels = core.labels
+    rows = [slice(start, end) for start, end in zip(core.weighted.indptr[:-1], core.weighted.indptr[1:])]
+    # out-edges in target label order, as CSR stores them
+    neighbors = [core.weighted.indices[row] for row in rows]
+    cumulative = [np.cumsum(core.weighted.data[row]).astype(float) for row in rows]
+    out_strength = np.asarray(core.weighted.sum(axis=1)).ravel().astype(float)
 
     start_cdf = np.cumsum(out_strength)
     total_strength = start_cdf[-1]

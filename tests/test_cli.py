@@ -305,3 +305,36 @@ def test_input_digest_covers_every_input_file(log_file, tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", net, "--skip", "small_world,fits,resilience")
     assert code == 0
     assert json.loads(out)["input"]["digest"] == hashlib.sha256(net.read_bytes()).hexdigest()
+
+
+def test_knn_sidecar_groups_by_projected_degree(tmp_path, capsys):
+    # projected: a-b and b-c, weight 3 each; directed degrees would be a 2, b 3, c 1
+    edges = tmp_path / "net.csv"
+    edges.write_text("from,to,weight\na,b,2\nb,a,1\nb,c,3\n")
+    sidecars = tmp_path / "curves"
+    code, _, _ = run(capsys, "analyze", edges, "--boot", "10", "--skip", "small_world", "--sidecar-dir", sidecars)
+    assert code == 0
+    assert (sidecars / "knn_curve.csv").read_text() == "degree,mean_knn_weighted\n1,2.0\n2,1.0\n"
+
+
+@pytest.mark.parametrize("argv", [["build"], ["analyze", "--from-log", "--skip", "small_world"]])
+def test_conflicting_category_rows_are_input_errors(log_file, tmp_path, capsys, argv):
+    categories = tmp_path / "map.csv"
+    categories.write_text(CATEGORIES + "ward1,surgical\n")
+    code, out, err = run(capsys, argv[0], log_file, "--categories", categories, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "'ward1'" in err and "'medical'" in err and "'surgical'" in err
+
+
+def test_repeated_identical_category_row_is_accepted(log_file, tmp_path, capsys):
+    once = tmp_path / "once.csv"
+    twice = tmp_path / "twice.csv"
+    once.write_text(CATEGORIES)
+    twice.write_text(CATEGORIES + "ward1,medical\n")
+    outputs = []
+    for categories in (once, twice):
+        code, out, _ = run(capsys, "build", log_file, "--categories", categories, "--format", "edgelist")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
