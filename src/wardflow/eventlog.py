@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import IO, Iterable, Iterator, Mapping
+from itertools import chain, compress
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 KEEP_AS_IS = "keep-as-is"
 REJECT_UNKNOWN = "reject-unknown"
@@ -20,8 +23,9 @@ class UnknownLocationError(ValueError):
     """A location has no category under a reject-unknown map."""
 
 
-@dataclass(frozen=True)
-class LocationEvent:
+class LocationEvent(NamedTuple):
+    """One accepted log row; a tuple, so a million of them stay small."""
+
     admission_id: str
     location: str
     timestamp: datetime
@@ -37,12 +41,11 @@ class AdmissionJourney:
     def __post_init__(self):
         if len(self.stops) < 1 or len(self.stops) != len(self.times):
             raise ValueError("journey needs matching, non-empty stops and times")
-        for a, b in zip(self.times, self.times[1:]):
-            if b < a:
-                raise ValueError(f"times not non-decreasing in {self.admission_id!r}")
-        for a, b in zip(self.stops, self.stops[1:]):
-            if a == b:
-                raise ValueError(f"consecutive duplicate stop {a!r} in {self.admission_id!r}")
+        if not all(map(operator.le, self.times, self.times[1:])):
+            raise ValueError(f"times not non-decreasing in {self.admission_id!r}")
+        if not all(map(operator.ne, self.stops, self.stops[1:])):
+            a = next(a for a, b in zip(self.stops, self.stops[1:]) if a == b)
+            raise ValueError(f"consecutive duplicate stop {a!r} in {self.admission_id!r}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,11 @@ class CategoryMap:
 
 @contextmanager
 def _text_stream(source: IO | str) -> Iterator[IO[str]]:
-    """A text stream over a path or an open file; a path is closed on exit.
+    """A text stream over a path, a text stream or a binary handle.
 
-    Bytes decode as UTF-8 with an optional byte-order mark.
+    A path is opened, and closed on exit. A binary handle is decoded as
+    UTF-8, with an optional byte-order mark, as it is read, and is left
+    open for the caller.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8-sig", newline="") as stream:
@@ -99,8 +104,11 @@ def _text_stream(source: IO | str) -> Iterator[IO[str]]:
     elif isinstance(source, io.TextIOBase):
         yield source
     else:
-        data = source.read()
-        yield io.StringIO(data.decode("utf-8-sig") if isinstance(data, bytes) else data)
+        stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach()  # closing the wrapper would close the caller's handle
 
 
 def _parse_timestamp(raw: str, fmt: str | None) -> datetime:
@@ -117,30 +125,46 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
     Timestamps must all be naive or all carry a UTC offset; a row that
     differs from the first accepted row is tallied as "timezone". A missing
     declared column raises SchemaError.
+
+    Rows read as csv.DictReader reads them: blank lines are skipped and not
+    counted, a short row's missing fields are empty, and a column name
+    repeated in the header means its last column. Equal admission ids and
+    locations share one string object.
     """
     with _text_stream(source) as stream:
-        reader = csv.DictReader(stream, delimiter=schema.delimiter)
-        header = reader.fieldnames or []
+        reader = csv.reader(stream, delimiter=schema.delimiter)
+        header = next(reader, None) or []
         for column in (schema.admission_column, schema.location_column, schema.timestamp_column):
             if column not in header:
                 raise SchemaError(f"column {column!r} not in header {header}")
+        position = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
+        a_col = position[schema.admission_column]
+        l_col = position[schema.location_column]
+        t_col = position[schema.timestamp_column]
+        width = max(a_col, l_col, t_col) + 1
 
         events: list[LocationEvent] = []
         stats = IngestStats()
+        fmt = schema.timestamp_format
+        shared = {}.setdefault  # one string object per distinct admission id or location
         aware: bool | None = None
+        rows_read = 0
         for row in reader:
-            stats.rows_read += 1
-            admission = (row.get(schema.admission_column) or "").strip()
+            if not row:
+                continue
+            rows_read += 1
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            admission = row[a_col].strip()
             if not admission:
                 stats.reject("admission_id")
                 continue
-            location = (row.get(schema.location_column) or "").strip()
+            location = row[l_col].strip()
             if not location:
                 stats.reject("location")
                 continue
-            raw_ts = (row.get(schema.timestamp_column) or "").strip()
             try:
-                timestamp = _parse_timestamp(raw_ts, schema.timestamp_format)
+                timestamp = _parse_timestamp(row[t_col].strip(), fmt)
             except ValueError:
                 stats.reject("timestamp")
                 continue
@@ -151,8 +175,15 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
             elif row_aware != aware:
                 stats.reject("timezone")
                 continue
-            events.append(LocationEvent(admission, location, timestamp, source_row=stats.rows_read))
+            events.append(LocationEvent(shared(admission, admission), shared(location, location),
+                                        timestamp, rows_read))
+    stats.rows_read = rows_read
     return events, stats
+
+
+def _first_of_runs(labels: list[str]) -> list[bool]:
+    """True where a label differs from the one before it; the first always counts."""
+    return [True, *map(operator.ne, labels[1:], labels)]
 
 
 def reconstruct_journeys(events: Iterable[LocationEvent]) -> list[AdmissionJourney]:
@@ -162,37 +193,33 @@ def reconstruct_journeys(events: Iterable[LocationEvent]) -> list[AdmissionJourn
     consecutive identical locations are merged keeping the earliest
     timestamp. Output is sorted by admission id for determinism.
     """
-    by_admission: dict[str, list[LocationEvent]] = {}
+    by_admission: defaultdict[str, list[LocationEvent]] = defaultdict(list)
     for event in events:
-        by_admission.setdefault(event.admission_id, []).append(event)
+        by_admission[event[0]].append(event)
 
+    order = operator.itemgetter(2, 3)  # (timestamp, source_row)
     journeys = []
     for admission_id in sorted(by_admission):
-        ordered = sorted(by_admission[admission_id], key=lambda e: (e.timestamp, e.source_row))
-        stops: list[str] = []
-        times: list[datetime] = []
-        for event in ordered:
-            if stops and stops[-1] == event.location:
-                continue
-            stops.append(event.location)
-            times.append(event.timestamp)
-        journeys.append(AdmissionJourney(admission_id, tuple(stops), tuple(times)))
+        _, locations, timestamps, _ = zip(*sorted(by_admission[admission_id], key=order))
+        keep = _first_of_runs(locations)
+        journeys.append(AdmissionJourney(admission_id, tuple(compress(locations, keep)),
+                                         tuple(compress(timestamps, keep))))
     return journeys
 
 
 def apply_category_map(journeys: Iterable[AdmissionJourney], category_map: CategoryMap) -> list[AdmissionJourney]:
     """Relabel stops through the map, re-merging consecutive duplicates."""
+    journeys = list(journeys)
+    # each distinct stop resolved once, in order of first use, so a
+    # reject-unknown map names the same unknown location a stop-by-stop pass would
+    distinct = dict.fromkeys(chain.from_iterable(journey.stops for journey in journeys))
+    label_of = {stop: category_map.resolve(stop) for stop in distinct}.__getitem__
     mapped = []
     for journey in journeys:
-        stops: list[str] = []
-        times: list[datetime] = []
-        for stop, time in zip(journey.stops, journey.times):
-            label = category_map.resolve(stop)
-            if stops and stops[-1] == label:
-                continue
-            stops.append(label)
-            times.append(time)
-        mapped.append(AdmissionJourney(journey.admission_id, tuple(stops), tuple(times)))
+        labels = list(map(label_of, journey.stops))
+        keep = _first_of_runs(labels)
+        mapped.append(AdmissionJourney(journey.admission_id, tuple(compress(labels, keep)),
+                                       tuple(compress(journey.times, keep))))
     return mapped
 
 

@@ -245,13 +245,19 @@ def avg_shortest_path(net: TransferNetwork, scope: str = DIRECTED_SCOPE) -> tupl
     return sum(d * count for d, count in enumerate(by_distance)) / sum(by_distance), coverage
 
 
-def compute_node_metrics(net: TransferNetwork, betweenness_weighted: bool = False) -> dict[str, NodeMetrics]:
+def compute_node_metrics(net: TransferNetwork, betweenness_weighted: bool = False,
+                         knn_values: tuple | None = None) -> dict[str, NodeMetrics]:
+    """Per-node metrics of a directed network.
+
+    `knn_values` saves a second `knn(net)` for a caller that has it
+    already; it must be `knn` of this `net`, which is not checked.
+    """
     _require_directed(net, "compute_node_metrics")
     degree_map = degrees(net)
     strength_map = strengths(net)
     local_clustering, _, _ = clustering(net)
     centrality = betweenness(net, use_weights=betweenness_weighted)
-    knn_map, _, _ = knn(net)
+    knn_map, _, _ = knn(net) if knn_values is None else knn_values
     out = {}
     for node in net.core.labels:
         k, in_deg, out_deg, nc = degree_map[node]

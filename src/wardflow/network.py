@@ -138,14 +138,19 @@ def build_network(journeys: Iterable[AdmissionJourney]) -> TransferNetwork:
 
 
 def undirected_projection(net: TransferNetwork) -> TransferNetwork:
-    """Sum antiparallel weights into one undirected edge per node pair."""
+    """Sum antiparallel weights into one undirected edge per node pair.
+
+    The result's core is `net.core.projection`, the same index, not a second one.
+    """
     if not net.directed:
         return net
     edges: dict[tuple[str, str], int] = {}
     for (u, v), weight in net.edges.items():
         key = (u, v) if u <= v else (v, u)
         edges[key] = edges.get(key, 0) + weight
-    return TransferNetwork(net.nodes, edges, directed=False, categories=net.categories)
+    projected = TransferNetwork(net.nodes, edges, directed=False, categories=net.categories)
+    vars(projected)["core"] = net.core.projection  # fills the cached property
+    return projected
 
 
 def as_symmetric_directed(net: TransferNetwork) -> TransferNetwork:

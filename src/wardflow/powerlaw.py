@@ -388,8 +388,13 @@ def fit_betweenness_degree(node_metrics: Mapping[str, NodeMetrics], threshold: f
 
 
 def fit_knn_degree(net: TransferNetwork, threshold: float = 2.0) -> RegressionFit:
-    """Linear fit through the k_nn(k) curve points."""
+    """Linear fit through the k_nn(k) curve points of `metrics.knn(net)`."""
     _, curve, _ = metrics_mod.knn(net)
+    return fit_knn_curve(curve, threshold)
+
+
+def fit_knn_curve(curve: Mapping[int, float], threshold: float = 2.0) -> RegressionFit:
+    """Linear fit through k_nn(k) curve points, degree -> mean k_nn."""
     if len(curve) < 2:
         raise ValueError("need at least 2 distinct degrees in the k_nn curve")
     labels = [f"k={k}" for k in curve]

@@ -238,11 +238,18 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
         },
     )
 
-    cache: dict[str, dict[str, metrics_mod.NodeMetrics]] = {}
+    cache: dict[str, Any] = {}
+
+    def knn_values() -> tuple:
+        if "knn" not in cache:
+            cache["knn"] = metrics_mod.knn(directed)
+        return cache["knn"]
 
     def node_metrics() -> dict[str, metrics_mod.NodeMetrics]:
         if "metrics" not in cache:
-            cache["metrics"] = metrics_mod.compute_node_metrics(directed, betweenness_weighted=weighted_betweenness)
+            cache["metrics"] = metrics_mod.compute_node_metrics(
+                directed, betweenness_weighted=weighted_betweenness, knn_values=knn_values()
+            )
         return cache["metrics"]
 
     section("node_metrics", lambda: [_serialize_node(m) for _, m in sorted(node_metrics().items())])
@@ -257,7 +264,7 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
             ),
             "strength_degree": lambda: _serialize_regression(powerlaw_mod.fit_strength_degree(directed)),
             "betweenness_degree": lambda: _serialize_regression(powerlaw_mod.fit_betweenness_degree(node_metrics())),
-            "knn_degree": lambda: _serialize_regression(powerlaw_mod.fit_knn_degree(directed)),
+            "knn_degree": lambda: _serialize_regression(powerlaw_mod.fit_knn_curve(knn_values()[1])),
         }
         for key, producer in parts.items():
             try:

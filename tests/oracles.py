@@ -6,12 +6,17 @@ via deque, and exhaustive path enumeration, so the main implementations
 """
 from __future__ import annotations
 
+import csv
+import io
 import statistics
 from collections import deque
+from dataclasses import dataclass
+from datetime import datetime
 from itertools import combinations
 
 import numpy as np
 
+from wardflow.eventlog import CategoryMap, IngestStats, LogSchema, SchemaError
 from wardflow.network import TransferNetwork
 
 
@@ -246,3 +251,109 @@ def brute_avg_path_candidates(net: TransferNetwork, directed: bool) -> tuple[set
                     pairs += 1
         candidates.add(total / pairs)
     return candidates, coverage
+
+
+# Event-log ingest as it was written first: csv.DictReader rows, one frozen
+# dataclass per event, timestamps parsed row by row. The compact parser in
+# wardflow.eventlog must agree with it on events, tallies and journeys.
+
+
+@dataclass(frozen=True)
+class RefEvent:
+    admission_id: str
+    location: str
+    timestamp: datetime
+    source_row: int
+
+
+@dataclass(frozen=True)
+class RefJourney:
+    admission_id: str
+    stops: tuple[str, ...]
+    times: tuple[datetime, ...]
+
+    def __post_init__(self):
+        if len(self.stops) < 1 or len(self.stops) != len(self.times):
+            raise ValueError("journey needs matching, non-empty stops and times")
+        for a, b in zip(self.times, self.times[1:]):
+            if b < a:
+                raise ValueError(f"times not non-decreasing in {self.admission_id!r}")
+        for a, b in zip(self.stops, self.stops[1:]):
+            if a == b:
+                raise ValueError(f"consecutive duplicate stop {a!r} in {self.admission_id!r}")
+
+
+def _ref_parse_timestamp(raw: str, fmt: str | None) -> datetime:
+    if fmt is None:
+        return datetime.fromisoformat(raw)
+    return datetime.strptime(raw, fmt)
+
+
+def ref_parse_event_log(text: str, schema: LogSchema = LogSchema()) -> tuple[list[RefEvent], IngestStats]:
+    reader = csv.DictReader(io.StringIO(text, newline=""), delimiter=schema.delimiter)
+    header = reader.fieldnames or []
+    for column in (schema.admission_column, schema.location_column, schema.timestamp_column):
+        if column not in header:
+            raise SchemaError(f"column {column!r} not in header {header}")
+
+    events: list[RefEvent] = []
+    stats = IngestStats()
+    aware: bool | None = None
+    for row in reader:
+        stats.rows_read += 1
+        admission = (row.get(schema.admission_column) or "").strip()
+        if not admission:
+            stats.reject("admission_id")
+            continue
+        location = (row.get(schema.location_column) or "").strip()
+        if not location:
+            stats.reject("location")
+            continue
+        raw_ts = (row.get(schema.timestamp_column) or "").strip()
+        try:
+            timestamp = _ref_parse_timestamp(raw_ts, schema.timestamp_format)
+        except ValueError:
+            stats.reject("timestamp")
+            continue
+        row_aware = timestamp.utcoffset() is not None
+        if aware is None:
+            aware = row_aware
+        elif row_aware != aware:
+            stats.reject("timezone")
+            continue
+        events.append(RefEvent(admission, location, timestamp, source_row=stats.rows_read))
+    return events, stats
+
+
+def ref_reconstruct_journeys(events: list[RefEvent]) -> list[RefJourney]:
+    by_admission: dict[str, list[RefEvent]] = {}
+    for event in events:
+        by_admission.setdefault(event.admission_id, []).append(event)
+
+    journeys = []
+    for admission_id in sorted(by_admission):
+        ordered = sorted(by_admission[admission_id], key=lambda e: (e.timestamp, e.source_row))
+        stops: list[str] = []
+        times: list[datetime] = []
+        for event in ordered:
+            if stops and stops[-1] == event.location:
+                continue
+            stops.append(event.location)
+            times.append(event.timestamp)
+        journeys.append(RefJourney(admission_id, tuple(stops), tuple(times)))
+    return journeys
+
+
+def ref_apply_category_map(journeys: list[RefJourney], category_map: CategoryMap) -> list[RefJourney]:
+    mapped = []
+    for journey in journeys:
+        stops: list[str] = []
+        times: list[datetime] = []
+        for stop, time in zip(journey.stops, journey.times):
+            label = category_map.resolve(stop)
+            if stops and stops[-1] == label:
+                continue
+            stops.append(label)
+            times.append(time)
+        mapped.append(RefJourney(journey.admission_id, tuple(stops), tuple(times)))
+    return mapped

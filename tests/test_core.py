@@ -106,3 +106,45 @@ def test_at_most_one_core_per_small_world_member(monkeypatch):
         smallworld._ensemble_member(net, 7, 200, 2000, task)
         assert len(built) - before <= 1
     assert all(member is not net for member in built)
+
+
+def test_default_report_indexes_the_projection_once(monkeypatch):
+    net = log_built_network()
+    # members run in this process, where the spy sees them
+    monkeypatch.setattr(smallworld, "_worker_count", lambda tasks: 1)
+    built = _count_core_builds(monkeypatch)
+    samples = 2
+    out = report.build_report(net, boot=10, sw_samples=samples, sw_swaps=50, sw_lattice_swaps=200)
+    assert out["small_world"] is not None
+    assert built[0] is net and sum(member is net for member in built) == 1
+    # the rest are rewired ensemble members, at most one core each; the
+    # small-world section reads the input's own projection
+    assert len(built) - 1 <= 2 * samples
+    assert all(not member.directed for member in built[1:])
+
+
+def test_undirected_projection_shares_the_projected_core():
+    net = log_built_network()
+    projected = undirected_projection(net)
+    assert projected.core is net.core.projection
+    fresh = GraphCore.from_network(projected)
+    assert fresh.labels == projected.core.labels
+    for name in ("weighted", "out", "inc"):
+        ours, theirs = getattr(projected.core, name), getattr(fresh, name)
+        assert (ours.indptr == theirs.indptr).all() and (ours.indices == theirs.indices).all()
+        assert (ours.data == theirs.data).all() and ours.data.dtype == theirs.data.dtype
+
+
+def test_knn_runs_once_per_report(monkeypatch):
+    net = log_built_network()
+    calls = []
+    original = metrics.knn
+
+    def counting(network):
+        calls.append(network)
+        return original(network)
+
+    monkeypatch.setattr(metrics, "knn", counting)
+    out = report.build_report(net, boot=10, skip=("small_world",))
+    assert len(calls) == 1
+    assert out["fits"]["knn_degree"] is not None and out["node_metrics"]

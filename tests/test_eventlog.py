@@ -245,3 +245,32 @@ def test_files_opened_from_a_path_are_closed(tmp_path):
         read_category_map(str(categories))
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class _RecordingBytes(io.BytesIO):
+    """A binary handle that records the size of every read asked of it."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+    def read1(self, size=-1):
+        self.sizes.append(size)
+        return super().read1(size)
+
+
+def test_binary_handle_is_decoded_in_blocks_and_left_open():
+    text = "admission_id,location,timestamp\n" + "".join(
+        f"a{i % 7},ward{i % 5},2016-03-01T08:{i % 60:02d}\n" for i in range(2000)
+    )
+    handle = _RecordingBytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    events, stats = parse_event_log(handle)
+    assert (events, stats) == parse_event_log(io.StringIO(text))
+    assert handle.sizes and all(size is not None and size > 0 for size in handle.sizes)
+    assert not handle.closed
+    handle.seek(0)
+    assert handle.read(3) == b"\xef\xbb\xbf"
