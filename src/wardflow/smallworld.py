@@ -23,6 +23,13 @@ _DEFAULT_SWAP_FACTOR = 10
 _DEFAULT_LATTICE_FACTOR = 1000
 _RNG_BLOCK = 1 << 20
 _LIST_CHUNK = 1 << 14
+# once a _LIST_CHUNK of lattice proposals accepts fewer than this share, the
+# rest of the member is checked in numpy windows of _WINDOW_MIN to
+# _WINDOW_MAX proposals; while the chain accepts more often, screening costs
+# more per accepted swap than the Python loop
+_SCREEN_BELOW = 0.02
+_WINDOW_MIN = 1 << 4
+_WINDOW_MAX = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -98,10 +105,92 @@ def _swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation, rank, present, n):
     return accepted
 
 
+def _pair_keys(x, y, n):
+    """Edge keys min * n + max of node pairs, whichever way round they come."""
+    return np.minimum(x, y) * n + np.maximum(x, y)
+
+
+def _screen_state(edge_u, edge_v, lattice_rank, n):
+    """The edges in `_screen_kernel` terms: (rank_u, rank_v, keys, node_of)."""
+    rank = np.array(lattice_rank, dtype=np.int64)
+    rank_u = rank[edge_u]
+    rank_v = rank[edge_v]
+    keys = np.append(np.sort(_pair_keys(rank_u, rank_v, n)), n * n)
+    return rank_u, rank_v, keys, np.argsort(rank)
+
+
+def _screen_kernel(rank_u, rank_v, keys, node_of, pick_a, pick_b, orientation, n):
+    """The lattice rule of `_swap_kernel`, with proposals checked in numpy windows.
+
+    Every check reads only the current edges and a rejected proposal changes
+    nothing, so the first proposal of a window that passes is the one the
+    Python loop would accept next: it is applied and the scan resumes right
+    after it. Windows halve after a hit and double after a miss.
+
+    Nodes go by rank here, so the span rule reads the edge arrays directly:
+    `rank_u`, `rank_v` hold each edge's endpoints in the kernel's order (lower
+    node index first; `node_of` maps a rank to its node index). `keys` is the
+    sorted array of the edges' `_pair_keys` in rank terms, closed by the
+    sentinel n * n so that every lookup lands on an entry. All three arrays
+    are updated in place. Returns the accepted count.
+    """
+    accepted = 0
+    total = len(pick_a)
+    start = 0
+    width = _WINDOW_MIN
+    while start < total:
+        stop = min(start + width, total)
+        i = pick_a[start:stop]
+        j = pick_b[start:stop]
+        flip = orientation[start:stop].astype(bool)
+        a = rank_u[i]
+        b = rank_v[i]
+        c = rank_u[j]
+        d = rank_v[j]
+        c, d = np.where(flip, d, c), np.where(flip, c, d)
+        # the span rule rejects most proposals and needs no lookup, so it runs first
+        cand = np.flatnonzero(np.abs(a - d) + np.abs(c - b) <= np.abs(a - b) + np.abs(c - d))
+        if len(cand):
+            i, j, a, b, c, d = i[cand], j[cand], a[cand], b[cand], c[cand], d[cand]
+            key1 = _pair_keys(a, d, n)
+            key2 = _pair_keys(c, b, n)
+            # the kernel's i != j and key1 != key2 need no test here: either
+            # failing makes a == d, c == b, or key1 an edge already present
+            legal = ((a != d) & (c != b)
+                     & (keys[np.searchsorted(keys, key1)] != key1) & (keys[np.searchsorted(keys, key2)] != key2))
+            cand = cand[legal]
+        if not len(cand):
+            start = stop
+            width = min(width * 2, _WINDOW_MAX)
+            continue
+        hit = start + int(cand[0])
+        i = int(pick_a[hit])
+        j = int(pick_b[hit])
+        a = int(rank_u[i])
+        b = int(rank_v[i])
+        c = old_c = int(rank_u[j])
+        d = old_d = int(rank_v[j])
+        if orientation[hit]:
+            c, d = d, c
+        u1, v1 = (a, d) if node_of[a] < node_of[d] else (d, a)
+        u2, v2 = (c, b) if node_of[c] < node_of[b] else (b, c)
+        old = [min(a, b) * n + max(a, b), min(old_c, old_d) * n + max(old_c, old_d)]
+        keys[np.searchsorted(keys, old)] = [min(a, d) * n + max(a, d), min(c, b) * n + max(c, b)]
+        keys.sort(kind="stable")  # adaptive: two entries out of place cost about one pass
+        rank_u[i] = u1
+        rank_v[i] = v1
+        rank_u[j] = u2
+        rank_v[j] = v2
+        accepted += 1
+        start = hit + 1
+        width = max(width // 2, _WINDOW_MIN)
+    return accepted
+
+
 def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
                 lattice_rank: list[int] | None) -> tuple[TransferNetwork, int, int]:
-    if net.edge_count < 2 or n_swaps < 1:
-        return net, max(n_swaps, 0), 0
+    if net.edge_count < 2 or n_swaps == 0:
+        return net, n_swaps, 0
     core = net.core
     labels = core.labels
     n = core.n
@@ -113,20 +202,36 @@ def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
     weights = core.weighted.data[upper].tolist()
     present = {u * n + v for u, v in zip(edge_u, edge_v)}
 
+    # lattice proposals are checked in Python while the chain accepts often;
+    # from the first chunk that accepts fewer than _SCREEN_BELOW of its
+    # proposals, the rest are screened in numpy. The random rule accepts most
+    # proposals, so it stays in Python throughout
+    screened = None
     accepted = 0
-    remaining = n_swaps
-    while remaining > 0:
-        take = min(_RNG_BLOCK, remaining)
-        remaining -= take
+    done = 0
+    while done < n_swaps:
+        take = min(_RNG_BLOCK, n_swaps - done)
         pick_a = rng.integers(0, len(edge_u), size=take)
         pick_b = rng.integers(0, len(edge_u), size=take)
         orientation = rng.integers(0, 2, size=take)
         # the kernel runs on Python ints; converting a whole block at once
         # would hold three lists of a million boxed ints
-        for lo in range(0, take, _LIST_CHUNK):
-            hi = lo + _LIST_CHUNK
-            accepted += _swap_kernel(edge_u, edge_v, pick_a[lo:hi].tolist(), pick_b[lo:hi].tolist(),
-                                     orientation[lo:hi].tolist(), lattice_rank, present, n)
+        lo = 0
+        while screened is None and lo < take:
+            hi = min(lo + _LIST_CHUNK, take)
+            hits = _swap_kernel(edge_u, edge_v, pick_a[lo:hi].tolist(), pick_b[lo:hi].tolist(),
+                                orientation[lo:hi].tolist(), lattice_rank, present, n)
+            accepted += hits
+            if lattice_rank is not None and hits < _SCREEN_BELOW * (hi - lo):
+                screened = _screen_state(edge_u, edge_v, lattice_rank, n)
+            lo = hi
+        if lo < take:
+            accepted += _screen_kernel(*screened, pick_a[lo:], pick_b[lo:], orientation[lo:], n)
+        done += take
+    if screened is not None:
+        rank_u, rank_v, _, node_of = screened
+        edge_u = node_of[rank_u].tolist()
+        edge_v = node_of[rank_v].tolist()
 
     edges = {
         (labels[u], labels[v]): weight
@@ -141,6 +246,11 @@ def _require_undirected(net: TransferNetwork, op: str) -> None:
         raise ValueError(f"{op} expects the undirected projection")
 
 
+def _require_count(value: int, name: str) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def rewire_random(net: TransferNetwork, n_swaps: int | None = None, seed: int = 0) -> RewireResult:
     """Degree-preserving randomization by repeated double-edge swaps.
 
@@ -152,6 +262,7 @@ def rewire_random(net: TransferNetwork, n_swaps: int | None = None, seed: int = 
     _require_undirected(net, "rewire_random")
     if n_swaps is None:
         n_swaps = _DEFAULT_SWAP_FACTOR * net.edge_count
+    _require_count(n_swaps, "n_swaps")
     rng = np.random.default_rng(seed)
     rewired, attempted, accepted = _swap_edges(net, n_swaps, rng, lattice_rank=None)
     return RewireResult(rewired, attempted, accepted)
@@ -166,6 +277,7 @@ def latticize(net: TransferNetwork, seed: int = 0, n_swaps: int | None = None) -
     _require_undirected(net, "latticize")
     if n_swaps is None:
         n_swaps = _DEFAULT_LATTICE_FACTOR * net.edge_count
+    _require_count(n_swaps, "n_swaps")
     # node indices follow label order, so a stable sort by degree breaks ties by label
     by_degree = np.argsort(np.diff(net.core.out.indptr), kind="stable")
     rank = np.empty(net.node_count, dtype=np.int64)
@@ -264,6 +376,8 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
         n_swaps = _DEFAULT_SWAP_FACTOR * net.edge_count
     if lattice_swaps is None:
         lattice_swaps = _DEFAULT_LATTICE_FACTOR * net.edge_count
+    _require_count(n_swaps, "n_swaps")
+    _require_count(lattice_swaps, "lattice_swaps")
 
     _, c_av, _ = metrics_mod.clustering(net)
     l_av, coverage = metrics_mod.avg_shortest_path(net, metrics_mod.PROJECTION_SCOPE)

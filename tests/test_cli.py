@@ -125,6 +125,15 @@ def test_analyze_skip_removes_section(log_file, capsys):
     assert "small_world" in report
 
 
+@pytest.mark.parametrize("flag, name", [("--sw-swaps", "n_swaps"), ("--sw-lattice-swaps", "lattice_swaps")])
+def test_analyze_negative_swap_count_is_a_section_failure(log_file, capsys, flag, name):
+    code, out, _ = run(capsys, *analyze_args(log_file, flag, "-1"))
+    assert code == 0
+    report = json.loads(out)
+    assert report["small_world"] is None
+    assert report["small_world_reason"] == f"{name} must be >= 0, got -1"
+
+
 def test_analyze_unknown_skip_is_usage_error(log_file, capsys):
     code, _, err = run(capsys, *analyze_args(log_file, "--skip", "nonsense"))
     assert code == 1

@@ -135,6 +135,21 @@ def test_ensemble_growth_is_stable():
     assert abs(small.omega - large.omega) < 0.15
 
 
+def test_negative_swap_counts_are_rejected():
+    net = generate_network(ModelSpec("ring-rewire", n=20, k=4, p=0.1, seed=1))
+    with pytest.raises(ValueError, match="n_swaps must be >= 0"):
+        rewire_random(net, n_swaps=-1)
+    with pytest.raises(ValueError, match="n_swaps must be >= 0"):
+        latticize(net, n_swaps=-5)
+    with pytest.raises(ValueError, match="n_swaps must be >= 0"):
+        small_world_report(net, n_samples=1, n_swaps=-1)
+    with pytest.raises(ValueError, match="lattice_swaps must be >= 0"):
+        small_world_report(net, n_samples=1, lattice_swaps=-5)
+    # zero proposals stay legal and leave the input as it is
+    unchanged = latticize(net, n_swaps=0)
+    assert (unchanged.network, unchanged.attempted, unchanged.accepted) == (net, 0, 0)
+
+
 # (accepted, sha256 of the sorted edge items) recorded with the earlier
 # numpy-indexed swap kernel; the proposal stream and its outcome must not move
 GOLDEN_NET = ModelSpec("preferential-attachment", n=80, m=2, seed=7)
