@@ -1,4 +1,10 @@
-"""Command-line interface: build, analyze, synth, and export."""
+"""Command-line interface: build, analyze, synth, and export.
+
+Each command loads what it runs: the analysis modules and `synth` are
+registered lazily by the package, so numpy and scipy load when `analyze`
+first calls into them, networkx only for `synth` and weighted betweenness,
+and `--version`, `build` and `export` load none of the three.
+"""
 from __future__ import annotations
 
 import argparse
@@ -9,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, metrics as metrics_mod, report as report_mod
+from . import SECTIONS, __version__, metrics as metrics_mod, report as report_mod, synth as synth_mod
 from .eventlog import (
     KEEP_AS_IS,
     REJECT_UNKNOWN,
@@ -22,7 +28,6 @@ from .eventlog import (
     reconstruct_journeys,
 )
 from .network import TransferNetwork, build_network, export_network, import_network
-from .synth import ModelSpec, generate_event_log, generate_network, geometric_stop_lengths, write_event_log_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,7 +127,7 @@ def _load_network(args):
     fmt = args.format or {"": "graphml", ".graphml": "graphml", ".xml": "graphml", ".csv": "edgelist"}.get(
         path.suffix.lower(), "graphml"
     )
-    return import_network(data, fmt, directed=not args.undirected), None, report_mod.input_digest(data)
+    return import_network(data, fmt, directed=not args.undirected), None, hashlib.sha256(data).hexdigest()
 
 
 def _write_sidecars(report: dict, net: TransferNetwork, directory: str) -> None:
@@ -135,7 +140,7 @@ def _write_sidecars(report: dict, net: TransferNetwork, directory: str) -> None:
         writer.writerow(["degree", "probability"])
         for k in sorted(distribution, key=int):
             writer.writerow([k, distribution[k]])
-    _, curve, _ = metrics_mod.knn(net)  # by projected degree, the curve `fits.knn_degree` fits
+    _, curve = metrics_mod.knn(net)  # by projected degree, the curve `fits.knn_degree` fits
     with open(base / "knn_curve.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["degree", "mean_knn_weighted"])
@@ -191,17 +196,17 @@ def cmd_synth(args) -> int:
     if args.degrees:
         degrees = tuple(int(token) for token in args.degrees.split(",") if token)
     try:
-        spec = ModelSpec(family=family, n=args.n, seed=args.seed, m=args.m, k=args.k,
-                         p=args.p, degrees=degrees)
-        net = generate_network(spec)
-        journeys, stats = generate_event_log(
-            net, args.journeys, geometric_stop_lengths(args.mean_stops), seed=args.seed
+        spec = synth_mod.ModelSpec(family=family, n=args.n, seed=args.seed, m=args.m, k=args.k,
+                                   p=args.p, degrees=degrees)
+        net = synth_mod.generate_network(spec)
+        journeys, stats = synth_mod.generate_event_log(
+            net, args.journeys, synth_mod.geometric_stop_lengths(args.mean_stops), seed=args.seed
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     buffer = io.StringIO()
-    write_event_log_csv(journeys, buffer)
+    synth_mod.write_event_log_csv(journeys, buffer)
     _write_output(buffer.getvalue().encode("utf-8"), args.output)
     print(f"journeys: {len(journeys)}, truncated: {stats.truncated_journeys}", file=sys.stderr)
     return EXIT_OK
@@ -251,7 +256,7 @@ def _build_parser() -> _Parser:
                          help="comma-separated strategies: degree, betweenness, random")
     analyze.add_argument("--attack-step", type=float, default=0.05)
     analyze.add_argument("--skip", action="append", default=[],
-                         help=f"comma-separated sections: {', '.join(report_mod.SECTIONS)}")
+                         help=f"comma-separated sections: {', '.join(SECTIONS)}")
     analyze.add_argument("--weighted-betweenness", action="store_true")
     analyze.add_argument("--sidecar-dir", default=None, help="write plot-ready curve CSVs here")
     analyze.set_defaults(func=cmd_analyze)

@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import networkx as nx
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from . import paths
-from .network import TransferNetwork, to_networkx
+from .network import TransferNetwork
 
 DIRECTED_SCOPE = "directed"
 PROJECTION_SCOPE = "undirected-projection"
@@ -131,15 +130,18 @@ def betweenness(net: TransferNetwork, use_weights: bool = False) -> dict[str, fl
     """Normalized betweenness centrality (Brandes accumulation).
 
     With use_weights, edge length is 1/weight so heavier traffic means a
-    shorter edge (networkx Dijkstra); the default treats every edge as one
-    hop and runs the batched BFS of `paths`.
+    shorter edge (networkx Dijkstra, the only networkx use of `analyze`);
+    the default treats every edge as one hop and runs the batched BFS of
+    `paths`.
     """
     if not use_weights:
         core = net.core
         return {label: float(b) for label, b in zip(core.labels, paths.betweenness(core))}
-    graph = to_networkx(net)
-    for u, v, data in graph.edges(data=True):
-        data["distance"] = 1.0 / data["weight"]
+    import networkx as nx
+
+    graph = nx.DiGraph() if net.directed else nx.Graph()
+    graph.add_nodes_from(net.sorted_nodes())
+    graph.add_weighted_edges_from(((u, v, 1.0 / w) for (u, v), w in sorted(net.edges.items())), weight="distance")
     result = nx.betweenness_centrality(graph, normalized=True, weight="distance")
     return {node: float(b) for node, b in result.items()}
 
@@ -187,34 +189,30 @@ def assortativity_undirected(net: TransferNetwork) -> float | None:
     return _pearson(ends.ravel(), ends[:, ::-1].ravel())
 
 
-def knn(net: TransferNetwork) -> tuple[dict[str, float | None], dict[int, float], tuple[float, float] | None]:
+def knn(net: TransferNetwork) -> tuple[dict[str, float | None], dict[int, float]]:
     """Weighted average nearest-neighbour degree on the undirected projection.
 
-    Returns per-node values (None for isolated nodes), the curve of mean
-    k_nn over nodes of each degree, and the (slope, intercept) of an
-    ordinary least squares line through the curve points.
+    Returns per-node values (None for isolated nodes) and their `knn_curve`.
     """
     core = net.core.projection
     degree = np.diff(core.weighted.indptr)
     strength = np.asarray(core.weighted.sum(axis=1)).ravel()
     mixed = core.weighted @ degree
-    per_node: dict[str, float | None] = {}
+    per_node = {
+        label: m / s if k else None
+        for label, k, s, m in zip(core.labels, degree.tolist(), strength.tolist(), mixed.tolist())
+    }
+    return per_node, knn_curve(net, per_node)
+
+
+def knn_curve(net: TransferNetwork, per_node: Mapping[str, float | None]) -> dict[int, float]:
+    """Mean of the per-node k_nn values over the nodes of each projected degree, isolated nodes left out."""
+    core = net.core.projection
     by_degree: dict[int, list[float]] = {}
-    for label, k, s, m in zip(core.labels, degree.tolist(), strength.tolist(), mixed.tolist()):
-        per_node[label] = m / s if k else None
+    for label, k in zip(core.labels, np.diff(core.out.indptr).tolist()):
         if k:
             by_degree.setdefault(k, []).append(per_node[label])
-    curve = {k: sum(vals) / len(vals) for k, vals in sorted(by_degree.items())}
-
-    fit = None
-    if len(curve) == 1:
-        fit = (0.0, next(iter(curve.values())))  # a single degree pins a flat line
-    elif len(curve) >= 2:
-        ks = np.array(list(curve.keys()), dtype=float)
-        vals = np.array(list(curve.values()), dtype=float)
-        slope, intercept = np.polyfit(ks, vals, 1)
-        fit = (float(slope), float(intercept))
-    return per_node, curve, fit
+    return {k: sum(vals) / len(vals) for k, vals in sorted(by_degree.items())}
 
 
 def avg_shortest_path(net: TransferNetwork, scope: str = DIRECTED_SCOPE) -> tuple[float | None, float | None]:
@@ -245,19 +243,14 @@ def avg_shortest_path(net: TransferNetwork, scope: str = DIRECTED_SCOPE) -> tupl
     return sum(d * count for d, count in enumerate(by_distance)) / sum(by_distance), coverage
 
 
-def compute_node_metrics(net: TransferNetwork, betweenness_weighted: bool = False,
-                         knn_values: tuple | None = None) -> dict[str, NodeMetrics]:
-    """Per-node metrics of a directed network.
-
-    `knn_values` saves a second `knn(net)` for a caller that has it
-    already; it must be `knn` of this `net`, which is not checked.
-    """
+def compute_node_metrics(net: TransferNetwork, betweenness_weighted: bool = False) -> dict[str, NodeMetrics]:
+    """Per-node metrics of a directed network."""
     _require_directed(net, "compute_node_metrics")
     degree_map = degrees(net)
     strength_map = strengths(net)
     local_clustering, _, _ = clustering(net)
     centrality = betweenness(net, use_weights=betweenness_weighted)
-    knn_map, _, _ = knn(net) if knn_values is None else knn_values
+    knn_map, _ = knn(net)
     out = {}
     for node in net.core.labels:
         k, in_deg, out_deg, nc = degree_map[node]

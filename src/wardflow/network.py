@@ -5,15 +5,26 @@ import csv
 import functools
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
-import numpy as np
-from scipy.sparse import csr_matrix
+from typing import TYPE_CHECKING, Iterable, Mapping
+from xml.etree import ElementTree
 
 from .eventlog import AdmissionJourney
 
+if TYPE_CHECKING:
+    from .paths import GraphCore
+
 EDGE_LIST_HEADER = ["from", "to", "weight"]
+
+_GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
+    'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+    'xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns '
+    'http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">\n'
+)
+# GraphML attr.type -> Python value; a key without attr.type holds strings
+_GRAPHML_TYPES = {"int": int, "long": int, "integer": int, "float": float, "double": float, "string": str}
 
 
 @dataclass(frozen=True)
@@ -35,7 +46,7 @@ class TransferNetwork:
                 raise ValueError(f"self-loop on {u!r}")
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"edge ({u!r}, {v!r}) has endpoint outside nodes")
-            if not isinstance(weight, int) or weight < 1:
+            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
                 raise ValueError(f"edge ({u!r}, {v!r}) weight {weight!r} not a positive integer")
             if not self.directed and u > v:
                 raise ValueError(f"undirected edge ({u!r}, {v!r}) not in canonical order")
@@ -57,73 +68,14 @@ class TransferNetwork:
 
     @functools.cached_property
     def core(self) -> GraphCore:
-        """The network indexed once; every analysis reads its views from here."""
-        return GraphCore.from_network(self)
+        """The network indexed once; every analysis reads its views from here.
 
-
-class GraphCore:
-    """Sorted node labels and the adjacency indexed by them.
-
-    `weighted` is the out-adjacency as CSR with the integer edge weights as
-    data; `out` shares its structure with data 1, and `inc` is the transpose
-    of `out` (the breadth-first searches multiply with both). An undirected
-    network stores each edge in both directions.
-    """
-
-    def __init__(self, labels: Sequence[str], weighted: csr_matrix, directed: bool):
-        weighted.sum_duplicates()
-        self.labels = list(labels)
-        self.directed = directed
-        self.weighted = weighted
-        self.out = csr_matrix((np.ones(weighted.nnz), weighted.indices, weighted.indptr), shape=weighted.shape)
-        self.inc = self.out.T.tocsr()
-
-    @classmethod
-    def from_network(cls, net: TransferNetwork) -> GraphCore:
-        """Index a network; `TransferNetwork.core` calls this once per network."""
-        labels = net.sorted_nodes()
-        index = {label: i for i, label in enumerate(labels)}
-        rows = [index[u] for u, _ in net.edges]
-        cols = [index[v] for _, v in net.edges]
-        weights = list(net.edges.values())
-        if not net.directed:
-            rows, cols, weights = rows + cols, cols + rows, weights + weights
-        n = len(labels)
-        weighted = csr_matrix((np.array(weights, dtype=np.int64), (rows, cols)), shape=(n, n))
-        core = cls(labels, weighted, net.directed)
-        core.index = index
-        return core
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @functools.cached_property
-    def index(self) -> dict[str, int]:
-        """Label -> node index."""
-        return {label: i for i, label in enumerate(self.labels)}
-
-    @functools.cached_property
-    def projection(self) -> GraphCore:
-        """The undirected projection: one edge per linked pair, antiparallel weights summed.
-
-        An undirected network is its own projection.
+        numpy and scipy load here, on first use, so building and converting
+        networks never import them.
         """
-        if not self.directed:
-            return self
-        return GraphCore(self.labels, (self.weighted + self.weighted.T).tocsr(), directed=False)
+        from .paths import GraphCore
 
-    def subgraph(self, members: np.ndarray) -> GraphCore:
-        """Core of the subgraph induced by the given (ascending) node indices."""
-        return GraphCore([self.labels[i] for i in members], self.weighted[members][:, members], self.directed)
-
-    def sources(self) -> np.ndarray:
-        """Source index of every stored edge in CSR order; `out.indices` holds the targets."""
-        return np.repeat(np.arange(self.n), np.diff(self.out.indptr))
-
-    def degrees(self) -> np.ndarray:
-        """In-degree plus out-degree of every node."""
-        return np.diff(self.out.indptr) + np.diff(self.inc.indptr)
+        return GraphCore.from_network(self)
 
 
 def build_network(journeys: Iterable[AdmissionJourney]) -> TransferNetwork:
@@ -162,38 +114,6 @@ def as_symmetric_directed(net: TransferNetwork) -> TransferNetwork:
         edges[(u, v)] = weight
         edges[(v, u)] = weight
     return TransferNetwork(net.nodes, edges, directed=True, categories=net.categories)
-
-
-def to_networkx(net: TransferNetwork) -> nx.DiGraph | nx.Graph:
-    graph = nx.DiGraph() if net.directed else nx.Graph()
-    for node in net.sorted_nodes():
-        attrs = {}
-        if net.categories and node in net.categories:
-            attrs["category"] = net.categories[node]
-        graph.add_node(node, **attrs)
-    for (u, v), weight in sorted(net.edges.items()):
-        graph.add_edge(u, v, weight=weight)
-    return graph
-
-
-def from_networkx(graph: nx.Graph) -> TransferNetwork:
-    directed = graph.is_directed()
-    nodes = frozenset(str(n) for n in graph.nodes)
-    edges: dict[tuple[str, str], int] = {}
-    for u, v, data in graph.edges(data=True):
-        u, v = str(u), str(v)
-        if not directed and u > v:
-            u, v = v, u
-        if (u, v) in edges:
-            raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-        weight = data.get("weight", 1)
-        if isinstance(weight, float) and not weight.is_integer():
-            raise ValueError(f"edge ({u!r}, {v!r}) weight {weight!r} is not an integer")
-        edges[(u, v)] = int(weight)
-    categories = {
-        str(n): str(data["category"]) for n, data in graph.nodes(data=True) if "category" in data
-    }
-    return TransferNetwork(nodes, edges, directed=directed, categories=categories or None)
 
 
 def _export_edgelist(net: TransferNetwork) -> bytes:
@@ -251,12 +171,135 @@ def _export_dot(net: TransferNetwork) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _xml_text(text: str) -> str:
+    """Escape character data as ElementTree does."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _xml_attribute(text: str) -> str:
+    """Escape an attribute value as ElementTree does."""
+    return (_xml_text(text).replace('"', "&quot;").replace("\r", "&#13;")
+            .replace("\n", "&#10;").replace("\t", "&#09;"))
+
+
+def _export_graphml(net: TransferNetwork) -> bytes:
+    """The bytes `networkx.write_graphml` writes for the network, formatted directly.
+
+    Nodes come in label order, each with its category if it has one, then
+    edges in (source, target) order, each with its weight. Keys are numbered
+    in order of first use (category before weight) and, as networkx inserts
+    each new key at the front, listed last-numbered first.
+    """
+    categories = net.categories or {}
+    labels = net.sorted_nodes()
+    ids = {label: _xml_attribute(label) for label in labels}
+    keys = []
+    if any(label in categories for label in labels):
+        keys.append(("node", "category", "string"))
+    if net.edges:
+        keys.append(("edge", "weight", "long"))
+    key_id = {name: f"d{i}" for i, (_, name, _) in enumerate(keys)}
+    parts = [_GRAPHML_HEAD]
+    for scope, name, kind in reversed(keys):
+        parts.append(f'  <key id="{key_id[name]}" for="{scope}" attr.name="{name}" attr.type="{kind}" />\n')
+    graph = f'  <graph edgedefault="{"directed" if net.directed else "undirected"}"'
+    if not labels:
+        parts.append(f"{graph} />\n</graphml>\n")
+        return "".join(parts).encode("utf-8", "xmlcharrefreplace")
+    parts.append(f"{graph}>\n")
+    for label in labels:
+        if label not in categories:
+            parts.append(f'    <node id="{ids[label]}" />\n')
+            continue
+        category = _xml_text(categories[label])
+        # ElementTree closes an element without text in place
+        data = f">{category}</data>" if category else " />"
+        parts.append(f'    <node id="{ids[label]}">\n      <data key="{key_id["category"]}"{data}\n    </node>\n')
+    for (u, v), weight in sorted(net.edges.items()):
+        parts.append(f'    <edge source="{ids[u]}" target="{ids[v]}">\n'
+                     f'      <data key="{key_id["weight"]}">{weight}</data>\n    </edge>\n')
+    parts.append("  </graph>\n</graphml>\n")
+    return "".join(parts).encode("utf-8", "xmlcharrefreplace")
+
+
+def _graphml_value(element: ElementTree.Element, name: str, keys: dict, tag: str):
+    """The value of the element's last <data> for attribute `name`, or None without one.
+
+    Values are converted by their key's attr.type; an empty <data> reads as
+    "" and one with child elements (a yEd extension) is skipped.
+    """
+    value = None
+    for data in element:
+        if data.tag != tag:
+            continue
+        if data.get("key") not in keys:
+            raise ValueError(f"GraphML data refers to undeclared key {data.get('key')!r}")
+        key_name, kind = keys[data.get("key")]
+        if key_name != name or len(data):
+            continue
+        if kind not in _GRAPHML_TYPES:
+            raise ValueError(f"GraphML attribute {name!r} has unsupported type {kind!r}")
+        value = "" if data.text is None else _GRAPHML_TYPES[kind](data.text)
+    return value
+
+
+def _import_graphml(data: bytes) -> TransferNetwork:
+    """Read the first graph of a GraphML document.
+
+    Accepts what the networkx reader accepted: integral float weights, a
+    missing weight (1), node categories, isolated nodes, undirected graphs and
+    a document without the GraphML namespace. Rejects non-integer weights and
+    parallel edges. Attributes other than `weight` and `category` are not read.
+    """
+    try:
+        root = ElementTree.fromstring(data)
+    except ElementTree.ParseError as exc:
+        raise ValueError(f"malformed GraphML: {exc}") from None
+    ns = _GRAPHML_NS if root.tag == _GRAPHML_NS + "graphml" else ""
+    keys = {key.get("id"): (key.get("attr.name"), key.get("attr.type", "string")) for key in root.iterfind(ns + "key")}
+    graph = root.find(ns + "graph")
+    if graph is None:
+        raise ValueError("no GraphML graph element")
+    directed = graph.get("edgedefault") == "directed"
+    node_tag, edge_tag, data_tag = ns + "node", ns + "edge", ns + "data"
+    nodes: set[str] = set()
+    categories: dict[str, str] = {}
+    edges: dict[tuple[str, str], int] = {}
+    for element in graph:
+        if element.tag == node_tag:
+            node = element.get("id")
+            if node is None:
+                raise ValueError("GraphML node without an id")
+            nodes.add(node)
+            category = _graphml_value(element, "category", keys, data_tag)
+            if category is not None:
+                categories[node] = str(category)
+        elif element.tag == edge_tag:
+            u, v = element.get("source"), element.get("target")
+            if u is None or v is None:
+                raise ValueError("GraphML edge without a source or target")
+            if element.get("directed") == ("false" if directed else "true"):
+                raise ValueError(f"edge ({u!r}, {v!r}) contradicts edgedefault={graph.get('edgedefault')!r}")
+            nodes.update((u, v))
+            if not directed and u > v:
+                u, v = v, u
+            if (u, v) in edges:
+                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+            weight = _graphml_value(element, "weight", keys, data_tag)
+            if weight is None:
+                weight = 1
+            if isinstance(weight, float) and not weight.is_integer():
+                raise ValueError(f"edge ({u!r}, {v!r}) weight {weight!r} is not an integer")
+            edges[(u, v)] = int(weight)
+        elif element.tag == ns + "hyperedge":
+            raise ValueError("GraphML hyperedges are not supported")
+    return TransferNetwork(frozenset(nodes), edges, directed=directed, categories=categories or None)
+
+
 def export_network(net: TransferNetwork, fmt: str) -> bytes:
     """Serialize to one of 'graphml', 'dot', or 'edgelist'."""
     if fmt == "graphml":
-        buffer = io.BytesIO()
-        nx.write_graphml(to_networkx(net), buffer)
-        return buffer.getvalue()
+        return _export_graphml(net)
     if fmt == "dot":
         return _export_dot(net)
     if fmt == "edgelist":
@@ -267,8 +310,7 @@ def export_network(net: TransferNetwork, fmt: str) -> bytes:
 def import_network(data: bytes, fmt: str, directed: bool = True) -> TransferNetwork:
     """Parse a serialized network; edge lists need the directed flag supplied."""
     if fmt == "graphml":
-        graph = nx.read_graphml(io.BytesIO(data))
-        return from_networkx(graph)
+        return _import_graphml(data)
     if fmt == "edgelist":
         return _import_edgelist(data, directed)
     raise ValueError(f"unsupported import format {fmt!r}")

@@ -1,4 +1,4 @@
-"""Batched breadth-first searches for unweighted paths on a network's `GraphCore`.
+"""A network's indexed `GraphCore`, and batched breadth-first searches for unweighted paths on it.
 
 The core numbers the sorted node labels 0..n-1 and keeps the binary
 out-adjacency as CSR together with its transpose. Searches run level by
@@ -16,12 +16,80 @@ BATCH_CELLS caps width * (n + m).
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .network import GraphCore
+from .network import TransferNetwork
+
+
+class GraphCore:
+    """Sorted node labels and the adjacency indexed by them.
+
+    `weighted` is the out-adjacency as CSR with the integer edge weights as
+    data; `out` shares its structure with data 1, and `inc` is the transpose
+    of `out` (the breadth-first searches multiply with both). An undirected
+    network stores each edge in both directions.
+    """
+
+    def __init__(self, labels: Sequence[str], weighted: csr_matrix, directed: bool):
+        weighted.sum_duplicates()
+        self.labels = list(labels)
+        self.directed = directed
+        self.weighted = weighted
+        self.out = csr_matrix((np.ones(weighted.nnz), weighted.indices, weighted.indptr), shape=weighted.shape)
+        self.inc = self.out.T.tocsr()
+
+    @classmethod
+    def from_network(cls, net: TransferNetwork) -> GraphCore:
+        """Index a network; `TransferNetwork.core` calls this once per network."""
+        labels = net.sorted_nodes()
+        index = {label: i for i, label in enumerate(labels)}
+        rows = [index[u] for u, _ in net.edges]
+        cols = [index[v] for _, v in net.edges]
+        weights = list(net.edges.values())
+        if not net.directed:
+            rows, cols, weights = rows + cols, cols + rows, weights + weights
+        n = len(labels)
+        weighted = csr_matrix((np.array(weights, dtype=np.int64), (rows, cols)), shape=(n, n))
+        core = cls(labels, weighted, net.directed)
+        core.index = index
+        return core
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    @functools.cached_property
+    def index(self) -> dict[str, int]:
+        """Label -> node index."""
+        return {label: i for i, label in enumerate(self.labels)}
+
+    @functools.cached_property
+    def projection(self) -> GraphCore:
+        """The undirected projection: one edge per linked pair, antiparallel weights summed.
+
+        An undirected network is its own projection.
+        """
+        if not self.directed:
+            return self
+        return GraphCore(self.labels, (self.weighted + self.weighted.T).tocsr(), directed=False)
+
+    def subgraph(self, members: np.ndarray) -> GraphCore:
+        """Core of the subgraph induced by the given (ascending) node indices."""
+        return GraphCore([self.labels[i] for i in members], self.weighted[members][:, members], self.directed)
+
+    def sources(self) -> np.ndarray:
+        """Source index of every stored edge in CSR order; `out.indices` holds the targets."""
+        return np.repeat(np.arange(self.n), np.diff(self.out.indptr))
+
+    def degrees(self) -> np.ndarray:
+        """In-degree plus out-degree of every node."""
+        return np.diff(self.out.indptr) + np.diff(self.inc.indptr)
+
 
 # cap on width * (n + m) for a batch of `width` sources
 BATCH_CELLS = 1 << 22

@@ -310,11 +310,13 @@ def bootstrap_ci(samples: Iterable[int], n_boot: int, seed: int, level: float = 
 
 
 def analyze_tail(samples: Iterable[int], n_boot: int, seed: int, level: float = 0.95) -> PowerLawFit:
-    """Scan-fit the tail and, when n_boot > 0, attach p-value and CI."""
+    """Scan-fit the tail and, when n_boot > 0, attach p-value and CI; n_boot = 0 skips them."""
     import dataclasses
 
+    if n_boot < 0:
+        raise ValueError(f"n_boot must be >= 0, got {n_boot}")
     fit = fit_tail(samples)
-    if n_boot < 1:
+    if n_boot == 0:
         return dataclasses.replace(fit, seed=seed)
     p = gof_pvalue(fit, samples, n_boot, seed)
     lo, hi = bootstrap_ci(samples, n_boot, seed, level=level)
@@ -389,7 +391,7 @@ def fit_betweenness_degree(node_metrics: Mapping[str, NodeMetrics], threshold: f
 
 def fit_knn_degree(net: TransferNetwork, threshold: float = 2.0) -> RegressionFit:
     """Linear fit through the k_nn(k) curve points of `metrics.knn(net)`."""
-    _, curve, _ = metrics_mod.knn(net)
+    _, curve = metrics_mod.knn(net)
     return fit_knn_curve(curve, threshold)
 
 

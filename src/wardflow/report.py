@@ -1,12 +1,11 @@
 """Assemble the JSON analysis report from the individual analysis sections."""
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Iterable
 
 import numpy as np
 
-from . import __version__
+from . import SECTIONS, __version__
 from . import classify as classify_mod
 from . import metrics as metrics_mod
 from . import powerlaw as powerlaw_mod
@@ -14,17 +13,6 @@ from . import resilience as resilience_mod
 from . import smallworld as smallworld_mod
 from .eventlog import IngestStats
 from .network import TransferNetwork, as_symmetric_directed, undirected_projection
-
-SECTIONS = (
-    "ingest",
-    "network_summary",
-    "node_metrics",
-    "network_metrics",
-    "fits",
-    "small_world",
-    "classification",
-    "resilience",
-)
 
 _POWERLAW_DOMAIN = 1
 _SMALLWORLD_DOMAIN = 2
@@ -34,10 +22,6 @@ _ATTACK_DOMAIN = 3
 def derive_seed(master: int, domain: int) -> int:
     """Stable per-component sub-seed from the single master seed."""
     return int(np.random.SeedSequence((master, domain)).generate_state(1)[0])
-
-
-def input_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _with_reasons(payload: dict[str, Any], reasons: dict[str, str]) -> dict[str, Any]:
@@ -177,6 +161,8 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
     unknown = skip_set - set(SECTIONS)
     if unknown:
         raise ValueError(f"unknown sections to skip: {sorted(unknown)}")
+    if boot < 0:
+        raise ValueError(f"boot must be >= 0 (0 skips the bootstrap), got {boot}")
 
     directed = as_symmetric_directed(net)
     report: dict[str, Any] = {
@@ -240,17 +226,15 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
 
     cache: dict[str, Any] = {}
 
-    def knn_values() -> tuple:
-        if "knn" not in cache:
-            cache["knn"] = metrics_mod.knn(directed)
-        return cache["knn"]
-
     def node_metrics() -> dict[str, metrics_mod.NodeMetrics]:
         if "metrics" not in cache:
-            cache["metrics"] = metrics_mod.compute_node_metrics(
-                directed, betweenness_weighted=weighted_betweenness, knn_values=knn_values()
-            )
+            cache["metrics"] = metrics_mod.compute_node_metrics(directed, betweenness_weighted=weighted_betweenness)
         return cache["metrics"]
+
+    def knn_curve() -> dict[int, float]:
+        # from the node metrics' k_nn values, so `knn` runs once per report
+        per_node = {label: m.knn_weighted for label, m in node_metrics().items()}
+        return metrics_mod.knn_curve(directed, per_node)
 
     section("node_metrics", lambda: [_serialize_node(m) for _, m in sorted(node_metrics().items())])
     section("network_metrics", lambda: _serialize_network_metrics(metrics_mod.compute_network_metrics(directed)))
@@ -264,7 +248,7 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
             ),
             "strength_degree": lambda: _serialize_regression(powerlaw_mod.fit_strength_degree(directed)),
             "betweenness_degree": lambda: _serialize_regression(powerlaw_mod.fit_betweenness_degree(node_metrics())),
-            "knn_degree": lambda: _serialize_regression(powerlaw_mod.fit_knn_curve(knn_values()[1])),
+            "knn_degree": lambda: _serialize_regression(powerlaw_mod.fit_knn_curve(knn_curve())),
         }
         for key, producer in parts.items():
             try:

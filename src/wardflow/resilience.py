@@ -8,7 +8,8 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from . import paths
-from .network import GraphCore, TransferNetwork
+from .network import TransferNetwork
+from .paths import GraphCore
 
 RANDOM = "random"
 DEGREE = "degree"

@@ -10,7 +10,7 @@ import networkx as nx
 import numpy as np
 
 from .eventlog import AdmissionJourney, LogSchema
-from .network import TransferNetwork, from_networkx
+from .network import TransferNetwork
 
 PREFERENTIAL_ATTACHMENT = "preferential-attachment"
 RING_REWIRE = "ring-rewire"
@@ -71,8 +71,9 @@ def generate_network(spec: ModelSpec) -> TransferNetwork:
         multigraph = nx.configuration_model(list(spec.degrees), seed=spec.seed)
         graph = nx.Graph(multigraph)  # collapse parallel edges
         graph.remove_edges_from(nx.selfloop_edges(graph))
-    relabeled = nx.relabel_nodes(graph, {i: node_label(i, spec.n) for i in graph.nodes})
-    return from_networkx(relabeled)
+    labels = {i: node_label(i, spec.n) for i in graph.nodes}
+    edges = {tuple(sorted((labels[i], labels[j]))): 1 for i, j in graph.edges}
+    return TransferNetwork(frozenset(labels.values()), edges, directed=False)
 
 
 @dataclass

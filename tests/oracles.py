@@ -2,7 +2,9 @@
 
 Everything here works on plain edge dictionaries with explicit loops, BFS
 via deque, and exhaustive path enumeration, so the main implementations
-(networkx / scipy backed) are checked against a genuinely different route.
+(numpy / scipy backed) are checked against a genuinely different route.
+The earlier ingest and the networkx GraphML path are kept at the end as the
+references their replacements must agree with.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 
 from wardflow.eventlog import CategoryMap, IngestStats, LogSchema, SchemaError
@@ -357,3 +360,40 @@ def ref_apply_category_map(journeys: list[RefJourney], category_map: CategoryMap
             times.append(time)
         mapped.append(RefJourney(journey.admission_id, tuple(stops), tuple(times)))
     return mapped
+
+
+# GraphML through networkx: the writer and reader wardflow used before its
+# own codec in `wardflow.network`, kept here as the reference it must match.
+
+
+def networkx_graphml(net: TransferNetwork) -> bytes:
+    """`nx.write_graphml` of the network: nodes in label order with their categories, then sorted edges."""
+    graph = nx.DiGraph() if net.directed else nx.Graph()
+    for node in net.sorted_nodes():
+        attrs = {}
+        if net.categories and node in net.categories:
+            attrs["category"] = net.categories[node]
+        graph.add_node(node, **attrs)
+    for (u, v), weight in sorted(net.edges.items()):
+        graph.add_edge(u, v, weight=weight)
+    buffer = io.BytesIO()
+    nx.write_graphml(graph, buffer)
+    return buffer.getvalue()
+
+
+def networkx_read_graphml(data: bytes) -> TransferNetwork:
+    """`nx.read_graphml`, then the checks of the former networkx conversion: no parallel or fractional edges."""
+    graph = nx.read_graphml(io.BytesIO(data))
+    directed = graph.is_directed()
+    edges: dict[tuple[str, str], int] = {}
+    for u, v, data in graph.edges(data=True):
+        if not directed and u > v:
+            u, v = v, u
+        if (u, v) in edges:
+            raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+        weight = data.get("weight", 1)
+        if isinstance(weight, float) and not weight.is_integer():
+            raise ValueError(f"edge ({u!r}, {v!r}) weight {weight!r} is not an integer")
+        edges[(u, v)] = int(weight)
+    categories = {n: str(data["category"]) for n, data in graph.nodes(data=True) if "category" in data}
+    return TransferNetwork(frozenset(graph.nodes), edges, directed=directed, categories=categories or None)

@@ -70,7 +70,7 @@ def test_criterion_1_oracle_equivalence():
         assert _matches(metrics_mod.assortativity(net), brute_assortativity(net))
 
         oracle_knn = brute_knn(net)
-        per_node, _, _ = metrics_mod.knn(net)
+        per_node, _ = metrics_mod.knn(net)
         assert all(_matches(per_node[n], oracle_knn[n]) for n in net.nodes)
 
         for directed, scope in ((True, DIRECTED_SCOPE), (False, PROJECTION_SCOPE)):

@@ -139,6 +139,19 @@ def test_analyze_unknown_skip_is_usage_error(log_file, capsys):
     assert code == 1
 
 
+def test_analyze_negative_boot_is_usage_error(log_file, capsys):
+    code, out, err = run(capsys, *analyze_args(log_file, "--boot", "-5"))
+    assert code == 1 and out == ""
+    assert "boot must be >= 0" in err
+
+
+def test_analyze_boot_zero_skips_the_bootstrap(log_file, capsys):
+    code, out, _ = run(capsys, *analyze_args(log_file, "--boot", "0", "--skip", "small_world"))
+    assert code == 0
+    tail = json.loads(out)["fits"]["degree_tail"]
+    assert tail["n_bootstrap"] == 0 and tail["p_value"] is None and tail["ci_low"] is None
+
+
 def test_analyze_network_file_round_trip(log_file, tmp_path, capsys):
     net_file = tmp_path / "net.graphml"
     assert run(capsys, "build", log_file, "-o", net_file)[0] == 0

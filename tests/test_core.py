@@ -7,13 +7,13 @@ from pathlib import Path
 from wardflow import metrics, report, smallworld
 from wardflow.eventlog import parse_event_log, reconstruct_journeys
 from wardflow.network import (
-    GraphCore,
     as_symmetric_directed,
     build_network,
     export_network,
     import_network,
     undirected_projection,
 )
+from wardflow.paths import GraphCore
 from wardflow.synth import ModelSpec, generate_event_log, generate_network, geometric_stop_lengths, write_event_log_csv
 
 # exact values recorded before the metrics moved onto the shared core

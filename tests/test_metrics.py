@@ -170,15 +170,14 @@ def test_assortativity_ignores_weights():
 
 def test_knn_regular_ring():
     edges = {(f"n{i}", f"n{(i + 1) % 6}"): 1 for i in range(6)}
-    per_node, curve, fit = knn(net_of(edges))
+    per_node, curve = knn(net_of(edges))
     assert all(value == pytest.approx(2.0) for value in per_node.values())
     assert curve == {2: pytest.approx(2.0)}
-    assert fit[0] == 0.0
 
 
 def test_knn_star():
     n = 5
-    per_node, _, _ = knn(net_of({("H", f"L{i}"): 1 for i in range(n)}))
+    per_node, _ = knn(net_of({("H", f"L{i}"): 1 for i in range(n)}))
     assert per_node["H"] == pytest.approx(1.0)
     for i in range(n):
         assert per_node[f"L{i}"] == pytest.approx(n)
@@ -187,7 +186,7 @@ def test_knn_star():
 def test_knn_weighted_hand_example():
     # projection: A-B w=3, A-C w=1, B-C w=2, C-D w=4
     net = net_of({("A", "B"): 3, ("A", "C"): 1, ("B", "C"): 2, ("C", "D"): 4})
-    per_node, _, _ = knn(net)
+    per_node, _ = knn(net)
     # degrees: A=2, B=2, C=3, D=1
     assert per_node["A"] == pytest.approx((3 * 2 + 1 * 3) / 4, abs=TOL)
     assert per_node["B"] == pytest.approx((3 * 2 + 2 * 3) / 5, abs=TOL)
@@ -271,7 +270,7 @@ def _assert_network_matches_oracles(net):
         assert actual_a == pytest.approx(expected_a, abs=TOL)
 
     expected_knn = brute_knn(net)
-    per_node, _, _ = knn(net)
+    per_node, _ = knn(net)
     for node in net.nodes:
         if expected_knn[node] is None:
             assert per_node[node] is None

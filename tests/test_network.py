@@ -103,6 +103,8 @@ def test_validation_rejects_bad_networks():
     with pytest.raises(ValueError):
         net_of({("A", "B"): 0})
     with pytest.raises(ValueError):
+        net_of({("A", "B"): True})
+    with pytest.raises(ValueError):
         net_of({("B", "A"): 1}, directed=False)
 
 

@@ -1,6 +1,10 @@
 """The benchmark's traced run wraps wardflow functions by name; those names must still exist."""
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from wardflow import cli
@@ -45,3 +49,18 @@ def test_log_ingest_goes_through_each_traced_step_once(tmp_path, monkeypatch):
     events, parsed = results["parse_event_log"][0]
     assert parsed is stats and stats.rows_read == len(rows) == len(events)
     assert net.nodes == {"medical", "surgical", "ward3", "ward4", "ward5"}
+
+
+def test_traced_analyze_records_every_layer_in_a_fresh_process(tmp_path):
+    """The tracer wraps only the modules loaded by `import wardflow.cli`; every layer must be among them."""
+    rows = [f"a{i},ward{(i * j) % 7},2016-03-01T{8 + j:02d}:00" for i in range(20) for j in range(4)]
+    (tmp_path / "log.csv").write_text("admission_id,location,timestamp\n" + "\n".join(rows) + "\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, str(TRACED_PY), "spans.json", "report.json", "--", "analyze", "log.csv",
+                    "--from-log", "--boot", "5", "--sw-samples", "1", "--sw-lattice-swaps", "200"],
+                   cwd=tmp_path, env=env, check=True, capture_output=True, timeout=300)
+    names = {span["name"] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]}
+    assert {"eventlog.parse_event_log", "network.build_network", "report.build_report",
+            "metrics.compute_node_metrics", "metrics.knn", "powerlaw.analyze_tail",
+            "smallworld.small_world_report", "classify.classify_hubs_bottlenecks", "resilience.attack"} <= names

@@ -138,6 +138,11 @@ def test_analyze_tail_assembles_fit():
     assert fit.ci_low <= fit.gamma <= fit.ci_high
 
 
+def test_analyze_tail_rejects_a_negative_bootstrap_count():
+    with pytest.raises(ValueError, match="n_boot must be >= 0, got -5"):
+        analyze_tail([1, 2, 3, 4], n_boot=-5, seed=1)
+
+
 def net_of(edges):
     nodes = {u for u, _ in edges} | {v for _, v in edges}
     return TransferNetwork(frozenset(nodes), dict(edges), directed=True)
