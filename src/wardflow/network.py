@@ -172,14 +172,18 @@ def _export_dot(net: TransferNetwork) -> bytes:
 
 
 def _xml_text(text: str) -> str:
-    """Escape character data as ElementTree does."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape character data as ElementTree does, and a carriage return as `&#13;`.
+
+    ElementTree writes a carriage return in element text as it is, and every
+    XML parser reads that back as a newline; the reference reads back as a
+    carriage return.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
 
 
 def _xml_attribute(text: str) -> str:
     """Escape an attribute value as ElementTree does."""
-    return (_xml_text(text).replace('"', "&quot;").replace("\r", "&#13;")
-            .replace("\n", "&#10;").replace("\t", "&#09;"))
+    return _xml_text(text).replace('"', "&quot;").replace("\n", "&#10;").replace("\t", "&#09;")
 
 
 def _export_graphml(net: TransferNetwork) -> bytes:
@@ -189,6 +193,9 @@ def _export_graphml(net: TransferNetwork) -> bytes:
     edges in (source, target) order, each with its weight. Keys are numbered
     in order of first use (category before weight) and, as networkx inserts
     each new key at the front, listed last-numbered first.
+
+    A carriage return in a category is the one difference: it is written
+    as `&#13;`, so that it reads back as itself.
     """
     categories = net.categories or {}
     labels = net.sorted_nodes()

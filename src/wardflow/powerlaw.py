@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from . import metrics as metrics_mod
+from . import metrics as metrics_mod, pool
 from .metrics import NodeMetrics
 from .network import TransferNetwork
 
@@ -37,6 +37,8 @@ _DENSE_CAP = 8192
 _CANDIDATE_CHUNK = 256
 _TABLE_FLOOR = 1e-6
 _TABLE_CAP = 1 << 21
+# a batched fit runs one golden section per group of samples holding this many xmin candidates
+_GROUP_CANDIDATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,13 +151,25 @@ def _ks_distances(x: np.ndarray, uniq: np.ndarray, counts_le: np.ndarray,
     return ks
 
 
-def fit_tail(samples: Iterable[int], xmin: int | None = None) -> PowerLawFit:
-    """Fit the discrete power-law tail; xmin=None scans all observed values.
+class _Candidates(NamedTuple):
+    """A sample prepared for the fit, with its xmin candidates.
 
-    Under the scan, the chosen xmin minimizes the KS distance, with ties
-    broken toward the smaller xmin. Raises ValueError when fewer than two
-    distinct values remain at or above the threshold.
+    `cand` holds every observed value but the largest under the scan, or the
+    fixed xmin; `cand_first` is the index of each one's first occurrence in
+    the sorted sample `x`, and `log_sum` the sum of logs of its tail.
     """
+
+    x: np.ndarray
+    uniq: np.ndarray
+    counts_le: np.ndarray
+    cand: np.ndarray
+    cand_first: np.ndarray
+    log_sum: np.ndarray
+    policy: str
+
+
+def _candidates(samples: Iterable[int], xmin: int | None) -> _Candidates:
+    """The sample prepared and checked as `fit_tail` does, raising its ValueErrors."""
     x = _prepare(samples)
     n = len(x)
     log_x = np.log(x.astype(float))
@@ -183,18 +197,94 @@ def fit_tail(samples: Iterable[int], xmin: int | None = None) -> PowerLawFit:
         cand = np.array([xmin], dtype=np.int64)
         cand_first = np.array([pos], dtype=np.int64)
         policy = FIXED
+    return _Candidates(x, uniq, counts_le, cand, cand_first, suffix_log_sum[cand_first], policy)
 
-    n_tail = (n - cand_first).astype(float)
-    gammas = _mle_gamma(n_tail, suffix_log_sum[cand_first], cand)
-    ks = _ks_distances(x, uniq, counts_le, cand, cand_first, gammas)
-    best = int(np.argmin(ks))  # argmin keeps the first (smallest) xmin on ties
-    return PowerLawFit(
-        gamma=float(gammas[best]),
-        xmin=int(cand[best]),
-        n_tail=int(n_tail[best]),
-        ks_stat=float(ks[best]),
-        xmin_policy=policy,
-    )
+
+def _fit_group(group: list[_Candidates]) -> list[PowerLawFit]:
+    """Fit prepared samples; the golden sections of all their candidates run as one `_mle_gamma` call.
+
+    `_mle_gamma` works elementwise, so every gamma has the bits it would
+    have in a call of its own sample's candidates alone.
+    """
+    n_tails = [(len(setup.x) - setup.cand_first).astype(float) for setup in group]
+    gammas = _mle_gamma(np.concatenate(n_tails), np.concatenate([setup.log_sum for setup in group]),
+                        np.concatenate([setup.cand for setup in group]))
+    fits = []
+    start = 0
+    for setup, n_tail in zip(group, n_tails):
+        sample_gammas = gammas[start:start + len(setup.cand)]
+        start += len(setup.cand)
+        ks = _ks_distances(setup.x, setup.uniq, setup.counts_le, setup.cand, setup.cand_first, sample_gammas)
+        best = int(np.argmin(ks))  # argmin keeps the first (smallest) xmin on ties
+        fits.append(PowerLawFit(
+            gamma=float(sample_gammas[best]),
+            xmin=int(setup.cand[best]),
+            n_tail=int(n_tail[best]),
+            ks_stat=float(ks[best]),
+            xmin_policy=setup.policy,
+        ))
+    return fits
+
+
+def _fit_tails(samples: Iterable[Iterable[int]], xmin: int | None = None) -> list[PowerLawFit | ValueError]:
+    """`fit_tail` of each sample, in order; a sample it cannot fit gives the ValueError it raises.
+
+    Samples are prepared and checked one at a time, and fitted in groups
+    that close once they hold _GROUP_CANDIDATES xmin candidates, so memory
+    stays bounded however many samples come in.
+    """
+    results: list[PowerLawFit | ValueError | None] = []
+    waiting: list[int] = []  # positions in results of the open group's samples
+    group: list[_Candidates] = []
+    held = 0
+    for sample in samples:
+        try:
+            setup = _candidates(sample, xmin)
+        except ValueError as exc:
+            results.append(exc)
+            continue
+        waiting.append(len(results))
+        results.append(None)
+        group.append(setup)
+        held += len(setup.cand)
+        if held >= _GROUP_CANDIDATES:
+            for position, fit in zip(waiting, _fit_group(group)):
+                results[position] = fit
+            waiting, group, held = [], [], 0
+    if group:
+        for position, fit in zip(waiting, _fit_group(group)):
+            results[position] = fit
+    return results
+
+
+def fit_tail(samples: Iterable[int], xmin: int | None = None) -> PowerLawFit:
+    """Fit the discrete power-law tail; xmin=None scans all observed values.
+
+    Under the scan, the chosen xmin minimizes the KS distance, with ties
+    broken toward the smaller xmin. Raises ValueError when fewer than two
+    distinct values remain at or above the threshold.
+    """
+    (fit,) = _fit_tails([samples], xmin)
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
+
+
+def _inverse_cdf(gamma: float, xmin: int) -> tuple[float, np.ndarray]:
+    """The Hurwitz-zeta norm and the negated CCDF table that `sample_tail` searches.
+
+    Entry i of the table is -P(X >= xmin+i+1); it is extended until the CCDF
+    falls to _TABLE_FLOOR or the table reaches _TABLE_CAP entries.
+    """
+    norm = float(hurwitz_zeta(gamma, xmin))
+    length = 1024
+    while True:
+        ints = np.arange(xmin, xmin + length, dtype=float)
+        ccdf = 1.0 - np.cumsum(ints ** -gamma) / norm
+        if ccdf[-1] <= _TABLE_FLOOR or length >= _TABLE_CAP:
+            break
+        length *= 2
+    return norm, -ccdf
 
 
 def sample_tail(gamma: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,21 +293,19 @@ def sample_tail(gamma: float, xmin: int, size: int, rng: np.random.Generator) ->
     A cumulative table covers the bulk of the distribution; draws deeper in
     the tail fall back to bisection on the Hurwitz-zeta CCDF.
     """
-    norm = float(hurwitz_zeta(gamma, xmin))
-    length = 1024
-    while True:
-        ints = np.arange(xmin, xmin + length, dtype=float)
-        ccdf = 1.0 - np.cumsum(ints ** -gamma) / norm  # ccdf[i] = P(X >= xmin+i+1)
-        if ccdf[-1] <= _TABLE_FLOOR or length >= _TABLE_CAP:
-            break
-        length *= 2
+    return _draw_tail(gamma, xmin, _inverse_cdf(gamma, xmin), size, rng)
 
+
+def _draw_tail(gamma: float, xmin: int, table: tuple[float, np.ndarray], size: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """`sample_tail` with the `_inverse_cdf(gamma, xmin)` table already built."""
+    norm, neg_ccdf = table
     w = 1.0 - rng.random(size)  # in (0, 1]
-    idx = np.searchsorted(-ccdf, -w, side="left")
+    idx = np.searchsorted(neg_ccdf, -w, side="left")
     out = xmin + idx
-    deep = idx >= length
+    deep = idx >= len(neg_ccdf)
     if deep.any():
-        out[deep] = _bisect_tail(gamma, xmin + length, norm, w[deep])
+        out[deep] = _bisect_tail(gamma, xmin + len(neg_ccdf), norm, w[deep])
     return out.astype(np.int64)
 
 
@@ -242,9 +330,34 @@ def _replicate_rng(seed: int, op_tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, op_tag, index)))
 
 
-def _refit(replicate: np.ndarray, fit: PowerLawFit) -> PowerLawFit:
-    fixed = fit.xmin if fit.xmin_policy == FIXED else None
-    return fit_tail(replicate, xmin=fixed)
+def _refit_xmin(fit: PowerLawFit) -> int | None:
+    """The xmin a replicate is refit with: the fit's own under FIXED, a fresh scan under SCAN."""
+    return fit.xmin if fit.xmin_policy == FIXED else None
+
+
+def _check_failures(failed: int, n_boot: int) -> None:
+    if failed > 0.1 * n_boot:
+        raise ValueError(f"{failed}/{n_boot} bootstrap replicates failed to refit")
+
+
+def _gof_block(fit: PowerLawFit, below: np.ndarray, n: int, table: tuple[float, np.ndarray], seed: int,
+               block: range) -> list[float | None]:
+    """Refit KS distance of each goodness-of-fit replicate in the block; None where the refit fails."""
+    p_below = len(below) / n
+
+    def replicates():
+        for i in block:
+            rng = _replicate_rng(seed, 1, i)
+            n_below = rng.binomial(n, p_below) if len(below) else 0
+            parts = []
+            if n_below:
+                parts.append(rng.choice(below, size=n_below, replace=True))
+            if n - n_below:
+                parts.append(_draw_tail(fit.gamma, fit.xmin, table, n - n_below, rng))
+            yield np.concatenate(parts)
+
+    return [None if isinstance(refit, ValueError) else refit.ks_stat
+            for refit in _fit_tails(replicates(), _refit_xmin(fit))]
 
 
 def gof_pvalue(fit: PowerLawFit, samples: Iterable[int], n_boot: int, seed: int) -> float:
@@ -253,36 +366,24 @@ def gof_pvalue(fit: PowerLawFit, samples: Iterable[int], n_boot: int, seed: int)
     p is the fraction of synthetic replicates whose refit KS distance is at
     least the observed one; deterministic given the seed. Replicates that
     fail to refit are excluded; more than 10% failures is an error.
+    Contiguous blocks of replicates run on the usable CPUs, each replicate
+    from its own seed, so p does not depend on the number of workers.
     """
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     x = _prepare(samples)
-    below = x[x < fit.xmin]
-    n = len(x)
-    p_below = len(below) / n
+    table = _inverse_cdf(fit.gamma, fit.xmin)
+    ks = pool.map_blocks(_gof_block, (fit, x[x < fit.xmin], len(x), table, seed), n_boot)
+    failed = ks.count(None)
+    _check_failures(failed, n_boot)
+    exceed = sum(1 for value in ks if value is not None and value >= fit.ks_stat)
+    return exceed / (n_boot - failed)
 
-    exceed = 0
-    failed = 0
-    for i in range(n_boot):
-        rng = _replicate_rng(seed, 1, i)
-        n_below = rng.binomial(n, p_below) if len(below) else 0
-        parts = []
-        if n_below:
-            parts.append(rng.choice(below, size=n_below, replace=True))
-        if n - n_below:
-            parts.append(sample_tail(fit.gamma, fit.xmin, n - n_below, rng))
-        replicate = np.concatenate(parts)
-        try:
-            refit = _refit(replicate, fit)
-        except ValueError:
-            failed += 1
-            continue
-        if refit.ks_stat >= fit.ks_stat:
-            exceed += 1
-    if failed > 0.1 * n_boot:
-        raise ValueError(f"{failed}/{n_boot} bootstrap replicates failed to refit")
-    usable = n_boot - failed
-    return exceed / usable
+
+def _ci_block(x: np.ndarray, xmin: int | None, seed: int, block: range) -> list[float | None]:
+    """Refit gamma of each resampling replicate in the block; None where the refit fails."""
+    replicates = (x[_replicate_rng(seed, 2, i).integers(0, len(x), size=len(x))] for i in block)
+    return [None if isinstance(refit, ValueError) else refit.gamma for refit in _fit_tails(replicates, xmin)]
 
 
 def bootstrap_ci(samples: Iterable[int], n_boot: int, seed: int, level: float = 0.95,
@@ -291,18 +392,15 @@ def bootstrap_ci(samples: Iterable[int], n_boot: int, seed: int, level: float = 
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     x = _prepare(samples)
-    reference = fit_tail(x, xmin=xmin)
-    gammas = []
-    failed = 0
-    for i in range(n_boot):
-        rng = _replicate_rng(seed, 2, i)
-        replicate = x[rng.integers(0, len(x), size=len(x))]
-        try:
-            gammas.append(_refit(replicate, reference).gamma)
-        except ValueError:
-            failed += 1
-    if failed > 0.1 * n_boot:
-        raise ValueError(f"{failed}/{n_boot} bootstrap replicates failed to refit")
+    return _bootstrap_ci(x, fit_tail(x, xmin=xmin), n_boot, seed, level)
+
+
+def _bootstrap_ci(x: np.ndarray, reference: PowerLawFit, n_boot: int, seed: int,
+                  level: float) -> tuple[float, float]:
+    """`bootstrap_ci` of the prepared sample x, whose fit `reference` already is."""
+    refits = pool.map_blocks(_ci_block, (x, _refit_xmin(reference), seed), n_boot)
+    gammas = [gamma for gamma in refits if gamma is not None]
+    _check_failures(n_boot - len(gammas), n_boot)
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(np.asarray(gammas), [alpha, 1.0 - alpha])
     # the interval always brackets the point estimate
@@ -315,11 +413,12 @@ def analyze_tail(samples: Iterable[int], n_boot: int, seed: int, level: float = 
 
     if n_boot < 0:
         raise ValueError(f"n_boot must be >= 0, got {n_boot}")
-    fit = fit_tail(samples)
+    x = _prepare(samples)
+    fit = fit_tail(x)
     if n_boot == 0:
         return dataclasses.replace(fit, seed=seed)
-    p = gof_pvalue(fit, samples, n_boot, seed)
-    lo, hi = bootstrap_ci(samples, n_boot, seed, level=level)
+    p = gof_pvalue(fit, x, n_boot, seed)
+    lo, hi = _bootstrap_ci(x, fit, n_boot, seed, level)
     return dataclasses.replace(fit, p_value=p, ci_low=lo, ci_high=hi, n_bootstrap=n_boot, seed=seed)
 
 

@@ -7,14 +7,12 @@ lattice ensemble only swaps that do not loosen a banded edge layout
 """
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from . import metrics as metrics_mod
+from . import metrics as metrics_mod, pool
 from .network import TransferNetwork
 
 _DEFAULT_SWAP_FACTOR = 10
@@ -312,52 +310,6 @@ def _ensemble_member(net: TransferNetwork, seed: int, n_swaps: int, lattice_swap
     return result.accepted, member_c, path_length
 
 
-def _worker_count(tasks: int) -> int:
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, tasks))
-
-
-# set in each forked worker by the pool initializer; the parent never writes it
-_pool_args: tuple = ()
-
-
-def _set_pool_args(*args) -> None:
-    global _pool_args
-    _pool_args = args
-
-
-def _pooled_member(task: tuple[int, int]) -> tuple[int, float | None, float | None]:
-    return _ensemble_member(*_pool_args, task)
-
-
-def _run_members(args: tuple, tasks: list[tuple[int, int]]) -> list[tuple[int, float | None, float | None]]:
-    """Run every member, across forked worker processes when more than one CPU is usable.
-
-    The workers receive the network through fork rather than pickling, so
-    each member sees the very same node set, in the same iteration order,
-    as a serial run would, and no worker pays for a fresh import. Forking a
-    process whose other threads may hold locks is unsafe, so a caller with
-    running threads gets the serial path. Results come back in task order.
-    """
-    workers = _worker_count(len(tasks))
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # no fork on this platform
-            context = None
-        if context is not None:
-            with ProcessPoolExecutor(workers, mp_context=context, initializer=_set_pool_args,
-                                     initargs=args) as pool:
-                return list(pool.map(_pooled_member, tasks))
-    return [_ensemble_member(*args, task) for task in tasks]
-
-
 def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
                        n_swaps: int | None = None, lattice_swaps: int | None = None) -> SmallWorldReport:
     """sigma and omega against degree-matched random and lattice ensembles.
@@ -383,7 +335,7 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
     l_av, coverage = metrics_mod.avg_shortest_path(net, metrics_mod.PROJECTION_SCOPE)
 
     tasks = [(tag, i) for i in range(n_samples) for tag in (_RANDOM_TAG, _LATTICE_TAG)]
-    members = _run_members((net, seed, n_swaps, lattice_swaps), tasks)
+    members = pool.map_tasks(_ensemble_member, (net, seed, n_swaps, lattice_swaps), tasks)
 
     random_c: list[float] = []
     random_l: list[float] = []

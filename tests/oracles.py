@@ -3,8 +3,9 @@
 Everything here works on plain edge dictionaries with explicit loops, BFS
 via deque, and exhaustive path enumeration, so the main implementations
 (numpy / scipy backed) are checked against a genuinely different route.
-The earlier ingest and the networkx GraphML path are kept at the end as the
-references their replacements must agree with.
+The earlier ingest, the networkx GraphML path and the one-replicate-at-a-time
+tail bootstrap are kept at the end as the references their replacements must
+agree with.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from wardflow.eventlog import CategoryMap, IngestStats, LogSchema, SchemaError
 from wardflow.network import TransferNetwork
+from wardflow.powerlaw import FIXED, PowerLawFit, _prepare, _replicate_rng, fit_tail, sample_tail
 
 
 def random_directed_network(rng: np.random.Generator, max_nodes: int = 7) -> TransferNetwork:
@@ -367,7 +369,10 @@ def ref_apply_category_map(journeys: list[RefJourney], category_map: CategoryMap
 
 
 def networkx_graphml(net: TransferNetwork) -> bytes:
-    """`nx.write_graphml` of the network: nodes in label order with their categories, then sorted edges."""
+    """`nx.write_graphml` of the network, carriage returns in categories as `&#13;`.
+
+    Nodes come in label order with their categories, then sorted edges.
+    """
     graph = nx.DiGraph() if net.directed else nx.Graph()
     for node in net.sorted_nodes():
         attrs = {}
@@ -378,7 +383,10 @@ def networkx_graphml(net: TransferNetwork) -> bytes:
         graph.add_edge(u, v, weight=weight)
     buffer = io.BytesIO()
     nx.write_graphml(graph, buffer)
-    return buffer.getvalue()
+    # networkx writes a carriage return in element text as it is, where it
+    # reads back as a newline; wardflow writes the reference, which reads back
+    # as itself. Attributes come escaped, so element text holds every raw one
+    return buffer.getvalue().replace(b"\r", b"&#13;")
 
 
 def networkx_read_graphml(data: bytes) -> TransferNetwork:
@@ -397,3 +405,66 @@ def networkx_read_graphml(data: bytes) -> TransferNetwork:
         edges[(u, v)] = int(weight)
     categories = {n: str(data["category"]) for n, data in graph.nodes(data=True) if "category" in data}
     return TransferNetwork(frozenset(graph.nodes), edges, directed=directed, categories=categories or None)
+
+
+# The tail bootstrap as it ran before replicates were fitted in blocks: one
+# replicate at a time, each drawn, then refit by its own fit_tail call.
+
+
+def _ref_refit(replicate: np.ndarray, fit: PowerLawFit) -> PowerLawFit:
+    fixed = fit.xmin if fit.xmin_policy == FIXED else None
+    return fit_tail(replicate, xmin=fixed)
+
+
+def ref_gof_pvalue(fit: PowerLawFit, samples, n_boot: int, seed: int) -> float:
+    if n_boot < 1:
+        raise ValueError("n_boot must be >= 1")
+    x = _prepare(samples)
+    below = x[x < fit.xmin]
+    n = len(x)
+    p_below = len(below) / n
+
+    exceed = 0
+    failed = 0
+    for i in range(n_boot):
+        rng = _replicate_rng(seed, 1, i)
+        n_below = rng.binomial(n, p_below) if len(below) else 0
+        parts = []
+        if n_below:
+            parts.append(rng.choice(below, size=n_below, replace=True))
+        if n - n_below:
+            parts.append(sample_tail(fit.gamma, fit.xmin, n - n_below, rng))
+        replicate = np.concatenate(parts)
+        try:
+            refit = _ref_refit(replicate, fit)
+        except ValueError:
+            failed += 1
+            continue
+        if refit.ks_stat >= fit.ks_stat:
+            exceed += 1
+    if failed > 0.1 * n_boot:
+        raise ValueError(f"{failed}/{n_boot} bootstrap replicates failed to refit")
+    usable = n_boot - failed
+    return exceed / usable
+
+
+def ref_bootstrap_ci(samples, n_boot: int, seed: int, level: float = 0.95,
+                     xmin: int | None = None) -> tuple[float, float]:
+    if n_boot < 1:
+        raise ValueError("n_boot must be >= 1")
+    x = _prepare(samples)
+    reference = fit_tail(x, xmin=xmin)
+    gammas = []
+    failed = 0
+    for i in range(n_boot):
+        rng = _replicate_rng(seed, 2, i)
+        replicate = x[rng.integers(0, len(x), size=len(x))]
+        try:
+            gammas.append(_ref_refit(replicate, reference).gamma)
+        except ValueError:
+            failed += 1
+    if failed > 0.1 * n_boot:
+        raise ValueError(f"{failed}/{n_boot} bootstrap replicates failed to refit")
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.quantile(np.asarray(gammas), [alpha, 1.0 - alpha])
+    return min(float(lo), reference.gamma), max(float(hi), reference.gamma)

@@ -107,7 +107,7 @@ def _oracle_sample_discrete_power_law(gamma: float, xmin: int, size: int,
     return lo
 
 
-@pytest.mark.slow  # about 330 s: 80k tail fits
+@pytest.mark.slow  # 137-218 s on 2 vCPUs: 80k tail fits
 def test_criterion_2_power_law_recovery():
     start = time.perf_counter()
     n_runs, n, n_boot = 100, 10_000, 200

@@ -4,7 +4,7 @@ import io
 import json
 from pathlib import Path
 
-from wardflow import metrics, report, smallworld
+from wardflow import metrics, pool, report, smallworld
 from wardflow.eventlog import parse_event_log, reconstruct_journeys
 from wardflow.network import (
     as_symmetric_directed,
@@ -111,7 +111,7 @@ def test_at_most_one_core_per_small_world_member(monkeypatch):
 def test_default_report_indexes_the_projection_once(monkeypatch):
     net = log_built_network()
     # members run in this process, where the spy sees them
-    monkeypatch.setattr(smallworld, "_worker_count", lambda tasks: 1)
+    monkeypatch.setattr(pool, "_worker_count", lambda tasks: 1)
     built = _count_core_builds(monkeypatch)
     samples = 2
     out = report.build_report(net, boot=10, sw_samples=samples, sw_swaps=50, sw_lattice_swaps=200)

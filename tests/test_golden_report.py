@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from test_screened_swaps import screening_spy
-from wardflow import smallworld
+from wardflow import pool
 from wardflow.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_report.json")
@@ -17,7 +17,7 @@ GOLDEN = Path(__file__).with_name("golden_report.json")
 
 def test_analyze_report_matches_recorded_bytes(tmp_path, capsys, monkeypatch):
     # members run serially (the same report) so that this process sees the screening
-    monkeypatch.setattr(smallworld, "_worker_count", lambda tasks: 1)
+    monkeypatch.setattr(pool, "_worker_count", lambda tasks: 1)
     screened = screening_spy(monkeypatch)
     log = tmp_path / "golden.csv"
     assert main(["synth", "--model", "ba", "--n", "60", "--m", "2", "--journeys", "150",

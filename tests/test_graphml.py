@@ -13,9 +13,7 @@ from wardflow.network import TransferNetwork, export_network, import_network
 _ODD = "&<>\"'\t\n\r é—✓𝔸"
 _xml_chars = st.characters(blacklist_categories=("Cs", "Cc", "Cn")) | st.sampled_from(_ODD)
 labels = st.text(_xml_chars, max_size=5)
-# a parser reads a carriage return in element text as a newline, so a
-# category holding one cannot round-trip, through networkx or here
-categories_text = st.text(_xml_chars.filter(lambda c: c != "\r"), max_size=5)
+categories_text = st.text(_xml_chars, max_size=5)
 
 
 @st.composite
@@ -103,3 +101,11 @@ def test_reader_takes_a_document_without_namespace_or_weights():
 def test_reader_turns_bad_documents_into_value_errors(data, message):
     with pytest.raises(ValueError, match=message):
         import_network(data, "graphml")
+
+
+def test_a_carriage_return_in_a_category_reads_back_as_itself():
+    net = TransferNetwork(frozenset({"a", "b"}), {("a", "b"): 2}, categories={"a": "icu\rstep-down", "b": "ed\r\n"})
+    payload = export_network(net, "graphml")
+    assert b"icu&#13;step-down" in payload and b"\r" not in payload
+    back = import_network(payload, "graphml")
+    assert back == net and back.categories == {"a": "icu\rstep-down", "b": "ed\r\n"}

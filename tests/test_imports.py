@@ -11,6 +11,8 @@ import wardflow
 
 SRC = str(Path(wardflow.__file__).resolve().parent.parent)
 HEAVY = ("numpy", "scipy", "networkx")
+# the worker pool's packages, which only analyze needs
+POOL = ("multiprocessing", "concurrent")
 # runs one command as `python -m wardflow.cli` would, then writes the top-level package names it loaded
 PROBE = """
 import json, sys
@@ -29,27 +31,27 @@ LOG = "admission_id,location,timestamp\n" + "".join(
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """The heavy packages a fresh process loaded for a command (argv)."""
+    """The packages of `watch` (the heavy ones by default) a fresh process loaded for a command (argv)."""
     work = tmp_path_factory.mktemp("imports")
     (work / "log.csv").write_text(LOG)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
-    def run(*argv):
+    def run(*argv, watch=HEAVY):
         out = work / "modules.json"
         subprocess.run([sys.executable, "-c", PROBE, str(out), *argv], cwd=work, env=env,
                        check=True, capture_output=True, timeout=300)
-        return {name for name in json.loads(out.read_text()) if name in HEAVY}
+        return {name for name in json.loads(out.read_text()) if name in watch}
 
     return run
 
 
 def test_version_loads_no_numeric_or_graph_package(loaded):
-    assert loaded("--version") == set()
+    assert loaded("--version", watch=HEAVY + POOL) == set()
 
 
 @pytest.mark.parametrize("fmt", ["graphml", "edgelist", "dot"])
 def test_build_loads_no_numeric_or_graph_package(loaded, fmt):
-    assert loaded("build", "log.csv", "--format", fmt, "-o", f"net.{fmt}") == set()
+    assert loaded("build", "log.csv", "--format", fmt, "-o", f"net.{fmt}", watch=HEAVY + POOL) == set()
 
 
 ANALYZE = ("--boot", "5", "--sw-samples", "1", "--sw-lattice-swaps", "200")

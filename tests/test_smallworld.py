@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from wardflow import smallworld
+from wardflow import pool, smallworld
 from wardflow.metrics import clustering
 from wardflow.network import TransferNetwork, undirected_projection
 from wardflow.smallworld import latticize, rewire_random, small_world_report
@@ -192,8 +192,8 @@ def test_swap_kernels_match_recorded_outcomes_across_rng_blocks():
 
 def test_small_world_report_same_with_worker_pool(monkeypatch):
     net = generate_network(ModelSpec("ring-rewire", n=40, k=4, p=0.1, seed=3))
-    monkeypatch.setattr(smallworld, "_worker_count", lambda tasks: 1)
+    monkeypatch.setattr(pool, "_worker_count", lambda tasks: 1)
     serial = small_world_report(net, n_samples=3, seed=5)
-    monkeypatch.setattr(smallworld, "_worker_count", lambda tasks: 2)
+    monkeypatch.setattr(pool, "_worker_count", lambda tasks: 2)
     pooled = small_world_report(net, n_samples=3, seed=5)
     assert pooled == serial
