@@ -117,6 +117,11 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _format_of(path: Path) -> str:
+    """The network format a file suffix implies: `.csv` is an edge list, anything else GraphML."""
+    return "edgelist" if path.suffix.lower() == ".csv" else "graphml"
+
+
 def _load_network(args):
     """The network, its ingest tally (None for network files), and the digest of every input file."""
     if args.from_log:
@@ -124,10 +129,8 @@ def _load_network(args):
         return net, stats, _file_digest([args.network] + ([args.categories] if args.categories else []))
     path = Path(args.network)
     data = path.read_bytes()
-    fmt = args.format or {"": "graphml", ".graphml": "graphml", ".xml": "graphml", ".csv": "edgelist"}.get(
-        path.suffix.lower(), "graphml"
-    )
-    return import_network(data, fmt, directed=not args.undirected), None, hashlib.sha256(data).hexdigest()
+    net = import_network(data, args.format or _format_of(path), directed=not args.undirected)
+    return net, None, hashlib.sha256(data).hexdigest()
 
 
 def _write_sidecars(report: dict, net: TransferNetwork, directory: str) -> None:
@@ -216,8 +219,7 @@ def cmd_export(args) -> int:
     path = Path(args.network)
     try:
         data = path.read_bytes()
-        source_fmt = args.source_format or ("edgelist" if path.suffix.lower() == ".csv" else "graphml")
-        net = import_network(data, source_fmt, directed=not args.undirected)
+        net = import_network(data, args.source_format or _format_of(path), directed=not args.undirected)
         payload = export_network(net, args.to)
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

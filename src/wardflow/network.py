@@ -117,6 +117,9 @@ def as_symmetric_directed(net: TransferNetwork) -> TransferNetwork:
 
 
 def _export_edgelist(net: TransferNetwork) -> bytes:
+    if "" in net.nodes:
+        # an empty target marks an isolated node, so such a label would not read back
+        raise ValueError("an edge list cannot carry a node with an empty label")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(EDGE_LIST_HEADER)
@@ -142,7 +145,11 @@ def _import_edgelist(data: bytes, directed: bool) -> TransferNetwork:
         if len(row) != 3:
             raise ValueError(f"edge-list row {row} does not have three columns")
         u, v, weight = row[0], row[1], int(row[2])
+        if u == "":
+            raise ValueError(f"edge-list row {row} has an empty source")
         if v == "":
+            if weight != 0:
+                raise ValueError(f"edge-list row {row} has an empty target but weight {weight}, not 0")
             nodes.add(u)
             continue
         nodes.update((u, v))

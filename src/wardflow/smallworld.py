@@ -22,7 +22,7 @@ _DEFAULT_LATTICE_FACTOR = 1000
 _RNG_BLOCK = 1 << 20
 _LIST_CHUNK = 1 << 14
 # once a _LIST_CHUNK of lattice proposals accepts fewer than this share, the
-# rest of the member is checked in numpy windows of _WINDOW_MIN to
+# rest of the member is screened in numpy windows of _WINDOW_MIN to
 # _WINDOW_MAX proposals; while the chain accepts more often, screening costs
 # more per accepted swap than the Python loop
 _SCREEN_BELOW = 0.02
@@ -61,15 +61,17 @@ class SmallWorldReport:
     reasons: Mapping[str, str]
 
 
-def _swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation, rank, present, n):
-    """Apply double-edge-swap proposals in place; returns accepted count.
+def _swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation, rank, present, n, limit=None):
+    """Apply double-edge-swap proposals in place; returns (accepted, consumed).
 
     Edges are integer pairs with u < v held in two lists; `present` is the
     set of edge keys u * n + v. With a node rank (the lattice rule), swaps
-    that increase the total rank-index span are rejected.
+    that increase the total rank-index span are rejected. With a limit, the
+    kernel stops once that many swaps are accepted; `consumed` counts the
+    proposals read.
     """
     accepted = 0
-    for i, j, flip in zip(pick_a, pick_b, orientation):
+    for consumed, (i, j, flip) in enumerate(zip(pick_a, pick_b, orientation), 1):
         if i == j:
             continue
         a = edge_u[i]
@@ -100,37 +102,21 @@ def _swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation, rank, present, n):
         edge_u[j] = u2
         edge_v[j] = v2
         accepted += 1
-    return accepted
+        if accepted == limit:
+            return accepted, consumed
+    return accepted, len(pick_a)
 
 
-def _pair_keys(x, y, n):
-    """Edge keys min * n + max of node pairs, whichever way round they come."""
-    return np.minimum(x, y) * n + np.maximum(x, y)
+def _screen_kernel(edge_u, edge_v, rank_u, rank_v, pick_a, pick_b, orientation, rank, present, n):
+    """The lattice rule of `_swap_kernel`, with proposals screened in numpy windows.
 
-
-def _screen_state(edge_u, edge_v, lattice_rank, n):
-    """The edges in `_screen_kernel` terms: (rank_u, rank_v, keys, node_of)."""
-    rank = np.array(lattice_rank, dtype=np.int64)
-    rank_u = rank[edge_u]
-    rank_v = rank[edge_v]
-    keys = np.append(np.sort(_pair_keys(rank_u, rank_v, n)), n * n)
-    return rank_u, rank_v, keys, np.argsort(rank)
-
-
-def _screen_kernel(rank_u, rank_v, keys, node_of, pick_a, pick_b, orientation, n):
-    """The lattice rule of `_swap_kernel`, with proposals checked in numpy windows.
-
-    Every check reads only the current edges and a rejected proposal changes
-    nothing, so the first proposal of a window that passes is the one the
-    Python loop would accept next: it is applied and the scan resumes right
-    after it. Windows halve after a hit and double after a miss.
-
-    Nodes go by rank here, so the span rule reads the edge arrays directly:
-    `rank_u`, `rank_v` hold each edge's endpoints in the kernel's order (lower
-    node index first; `node_of` maps a rank to its node index). `keys` is the
-    sorted array of the edges' `_pair_keys` in rank terms, closed by the
-    sentinel n * n so that every lookup lands on an entry. All three arrays
-    are updated in place. Returns the accepted count.
+    `rank_u`, `rank_v` hold the ranks of each edge's endpoints. Per window,
+    numpy keeps the proposals that pass the span rule and make no self-loop,
+    a necessary condition read from those two arrays alone; `_swap_kernel`
+    checks the survivors in order and applies the first that passes. A
+    rejected proposal changes nothing, so that is the swap the Python loop
+    would accept next, and the scan resumes right after it. Windows halve
+    after a hit and double after a miss. Returns the accepted count.
     """
     accepted = 0
     total = len(pick_a)
@@ -143,44 +129,22 @@ def _screen_kernel(rank_u, rank_v, keys, node_of, pick_a, pick_b, orientation, n
         flip = orientation[start:stop].astype(bool)
         a = rank_u[i]
         b = rank_v[i]
-        c = rank_u[j]
-        d = rank_v[j]
-        c, d = np.where(flip, d, c), np.where(flip, c, d)
-        # the span rule rejects most proposals and needs no lookup, so it runs first
-        cand = np.flatnonzero(np.abs(a - d) + np.abs(c - b) <= np.abs(a - b) + np.abs(c - d))
-        if len(cand):
-            i, j, a, b, c, d = i[cand], j[cand], a[cand], b[cand], c[cand], d[cand]
-            key1 = _pair_keys(a, d, n)
-            key2 = _pair_keys(c, b, n)
-            # the kernel's i != j and key1 != key2 need no test here: either
-            # failing makes a == d, c == b, or key1 an edge already present
-            legal = ((a != d) & (c != b)
-                     & (keys[np.searchsorted(keys, key1)] != key1) & (keys[np.searchsorted(keys, key2)] != key2))
-            cand = cand[legal]
-        if not len(cand):
+        c = np.where(flip, rank_v[j], rank_u[j])
+        d = np.where(flip, rank_u[j], rank_v[j])
+        cand = np.flatnonzero((np.abs(a - d) + np.abs(c - b) <= np.abs(a - b) + np.abs(c - d))
+                              & (a != d) & (c != b))
+        hits, consumed = _swap_kernel(edge_u, edge_v, i[cand].tolist(), j[cand].tolist(),
+                                      flip[cand].tolist(), rank, present, n, limit=1)
+        if not hits:
             start = stop
             width = min(width * 2, _WINDOW_MAX)
             continue
-        hit = start + int(cand[0])
-        i = int(pick_a[hit])
-        j = int(pick_b[hit])
-        a = int(rank_u[i])
-        b = int(rank_v[i])
-        c = old_c = int(rank_u[j])
-        d = old_d = int(rank_v[j])
-        if orientation[hit]:
-            c, d = d, c
-        u1, v1 = (a, d) if node_of[a] < node_of[d] else (d, a)
-        u2, v2 = (c, b) if node_of[c] < node_of[b] else (b, c)
-        old = [min(a, b) * n + max(a, b), min(old_c, old_d) * n + max(old_c, old_d)]
-        keys[np.searchsorted(keys, old)] = [min(a, d) * n + max(a, d), min(c, b) * n + max(c, b)]
-        keys.sort(kind="stable")  # adaptive: two entries out of place cost about one pass
-        rank_u[i] = u1
-        rank_v[i] = v1
-        rank_u[j] = u2
-        rank_v[j] = v2
+        hit = int(cand[consumed - 1])
+        for slot in (int(i[hit]), int(j[hit])):
+            rank_u[slot] = rank[edge_u[slot]]
+            rank_v[slot] = rank[edge_v[slot]]
         accepted += 1
-        start = hit + 1
+        start += hit + 1
         width = max(width // 2, _WINDOW_MIN)
     return accepted
 
@@ -217,19 +181,17 @@ def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
         lo = 0
         while screened is None and lo < take:
             hi = min(lo + _LIST_CHUNK, take)
-            hits = _swap_kernel(edge_u, edge_v, pick_a[lo:hi].tolist(), pick_b[lo:hi].tolist(),
-                                orientation[lo:hi].tolist(), lattice_rank, present, n)
+            hits, _ = _swap_kernel(edge_u, edge_v, pick_a[lo:hi].tolist(), pick_b[lo:hi].tolist(),
+                                   orientation[lo:hi].tolist(), lattice_rank, present, n)
             accepted += hits
             if lattice_rank is not None and hits < _SCREEN_BELOW * (hi - lo):
-                screened = _screen_state(edge_u, edge_v, lattice_rank, n)
+                rank = np.array(lattice_rank, dtype=np.int64)
+                screened = (rank[edge_u], rank[edge_v])
             lo = hi
         if lo < take:
-            accepted += _screen_kernel(*screened, pick_a[lo:], pick_b[lo:], orientation[lo:], n)
+            accepted += _screen_kernel(edge_u, edge_v, *screened, pick_a[lo:], pick_b[lo:], orientation[lo:],
+                                       lattice_rank, present, n)
         done += take
-    if screened is not None:
-        rank_u, rank_v, _, node_of = screened
-        edge_u = node_of[rank_u].tolist()
-        edge_v = node_of[rank_v].tolist()
 
     edges = {
         (labels[u], labels[v]): weight
@@ -310,6 +272,16 @@ def _ensemble_member(net: TransferNetwork, seed: int, n_swaps: int, lattice_swap
     return result.accepted, member_c, path_length
 
 
+def _mean(values) -> float | None:
+    """Mean of the values that are not None, or None if all are.
+
+    An empty network has no clustering and a giant component of fewer than
+    2 nodes no path length, so a member can lack either.
+    """
+    kept = [value for value in values if value is not None]
+    return sum(kept) / len(kept) if kept else None
+
+
 def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
                        n_swaps: int | None = None, lattice_swaps: int | None = None) -> SmallWorldReport:
     """sigma and omega against degree-matched random and lattice ensembles.
@@ -337,26 +309,12 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
     tasks = [(tag, i) for i in range(n_samples) for tag in (_RANDOM_TAG, _LATTICE_TAG)]
     members = pool.map_tasks(_ensemble_member, (net, seed, n_swaps, lattice_swaps), tasks)
 
-    random_c: list[float] = []
-    random_l: list[float] = []
-    random_accepted: list[int] = []
-    lattice_c: list[float] = []
-    lattice_accepted: list[int] = []
-    for (tag, _), (accepted, member_c, member_l) in zip(tasks, members):
-        if tag == _RANDOM_TAG:
-            random_accepted.append(accepted)
-            if member_c is not None:
-                random_c.append(member_c)
-            if member_l is not None:
-                random_l.append(member_l)
-        else:
-            lattice_accepted.append(accepted)
-            if member_c is not None:
-                lattice_c.append(member_c)
-
-    c_rand = sum(random_c) / len(random_c) if random_c else None
-    l_rand = sum(random_l) / len(random_l) if random_l else None
-    c_lat = sum(lattice_c) / len(lattice_c) if lattice_c else None
+    # tasks alternate random and lattice members
+    random_accepted, random_c, random_l = zip(*members[0::2])
+    lattice_accepted, lattice_c, _ = zip(*members[1::2])
+    c_rand = _mean(random_c)
+    l_rand = _mean(random_l)
+    c_lat = _mean(lattice_c)
 
     reasons: dict[str, str] = {}
     sigma = None
@@ -383,7 +341,7 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
         seed=seed,
         n_swaps_random=n_swaps,
         n_swaps_lattice=lattice_swaps,
-        accepted_swaps_random=tuple(random_accepted),
-        accepted_swaps_lattice=tuple(lattice_accepted),
+        accepted_swaps_random=random_accepted,
+        accepted_swaps_lattice=lattice_accepted,
         reasons=reasons,
     )

@@ -10,6 +10,7 @@ import pytest
 
 import wardflow
 from wardflow.cli import main
+from wardflow.network import TransferNetwork, export_network
 
 LOG = """admission_id,location,timestamp
 a1,ED,2016-03-01T08:00
@@ -289,6 +290,17 @@ def test_analyze_duplicate_edge_list_rows_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", path, "--skip", "small_world")
     assert code == 2
     assert "duplicate" in err
+
+
+def test_edge_list_empty_label_cases_are_input_errors(tmp_path, capsys):
+    weighted_isolate = tmp_path / "net.csv"
+    weighted_isolate.write_text("from,to,weight\nA,B,3\nc,,7\n")
+    assert run(capsys, "analyze", weighted_isolate, "--skip", "small_world")[0] == 2
+    empty_label = tmp_path / "net.graphml"
+    empty_label.write_bytes(export_network(TransferNetwork(frozenset({"a", ""}), {("a", ""): 2}), "graphml"))
+    code, _, err = run(capsys, "export", empty_label, "--to", "edgelist")
+    assert code == 2
+    assert "empty label" in err
 
 
 def test_report_bytes_do_not_depend_on_the_string_hash_seed(tmp_path, capsys):

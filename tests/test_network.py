@@ -183,6 +183,27 @@ def test_edgelist_short_row_is_an_error():
         import_network(b"from,to,weight\nA,B\n", "edgelist", directed=True)
 
 
+def test_edgelist_empty_target_with_a_weight_is_an_error():
+    # an empty target marks an isolated node, which carries weight 0
+    with pytest.raises(ValueError, match="empty target"):
+        import_network(b"from,to,weight\nA,B,1\nc,,7\n", "edgelist", directed=True)
+    isolated = import_network(b"from,to,weight\nA,B,1\nc,,0\n", "edgelist", directed=True)
+    assert isolated == net_of({("A", "B"): 1}, extra_nodes=("c",))
+
+
+def test_edgelist_empty_source_is_an_error():
+    with pytest.raises(ValueError, match="empty source"):
+        import_network(b"from,to,weight\n,B,2\n", "edgelist", directed=True)
+
+
+def test_edgelist_export_rejects_an_empty_node_label():
+    # written as "a,,2", the edge would read back as an isolated "a"
+    net = net_of({("a", ""): 2})
+    with pytest.raises(ValueError, match="empty label"):
+        export_network(net, "edgelist")
+    assert import_network(export_network(net, "graphml"), "graphml") == net
+
+
 def test_graphml_rejects_non_integer_weights():
     graph = nx.DiGraph()
     graph.add_edge("A", "B", weight=2.5)

@@ -90,6 +90,41 @@ def test_screened_lattice_matches_python_kernel(net, seed, n_swaps, chunk, below
     assert ordered_edges(screened) == ordered_edges(expected)
 
 
+def kernel_edges(net):
+    """The kernel's view of an undirected network: edge lists, edge keys, node count."""
+    index = {label: k for k, label in enumerate(sorted(net.nodes))}
+    edge_u, edge_v = (list(side) for side in zip(*sorted((index[u], index[v]) for u, v in net.edges)))
+    n = len(index)
+    return edge_u, edge_v, {u * n + v for u, v in zip(edge_u, edge_v)}, n
+
+
+@given(net=swap_graphs(), seed=st.integers(0, 2**32 - 1), lattice=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_swap_kernel_limit_stops_at_the_first_acceptance(net, seed, lattice):
+    edge_u, edge_v, present, n = kernel_edges(net)
+    rng = np.random.default_rng(seed)
+    rank = rng.permutation(n).tolist() if lattice else None
+    size = 40
+    proposals = [rng.integers(0, len(edge_u), size=size).tolist(),
+                 rng.integers(0, len(edge_u), size=size).tolist(),
+                 rng.integers(0, 2, size=size).tolist()]
+
+    def run(count, limit=None):
+        state = (edge_u[:], edge_v[:], set(present))
+        outcome = smallworld._swap_kernel(state[0], state[1], *(p[:count] for p in proposals),
+                                          rank, state[2], n, limit=limit)
+        return outcome, state
+
+    (accepted, consumed), limited = run(size, limit=1)
+    if accepted:
+        # the proposal at 1-based position `consumed` is the first one accepted
+        assert accepted == 1
+        assert run(consumed - 1)[0] == (0, consumed - 1)
+    else:
+        assert consumed == size
+    assert run(consumed) == ((accepted, consumed), limited)
+
+
 def screening_spy(monkeypatch):
     """Count the proposals `_screen_kernel` receives in this process."""
     kernel = smallworld._screen_kernel
