@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import operator
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, compress
+from itertools import chain, compress, groupby
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 KEEP_AS_IS = "keep-as-is"
@@ -111,12 +111,6 @@ def _text_stream(source: IO | str) -> Iterator[IO[str]]:
             stream.detach()  # closing the wrapper would close the caller's handle
 
 
-def _parse_timestamp(raw: str, fmt: str | None) -> datetime:
-    if fmt is None:
-        return datetime.fromisoformat(raw)
-    return datetime.strptime(raw, fmt)
-
-
 def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[list[LocationEvent], IngestStats]:
     """Read a delimited event log with a header row into LocationEvents.
 
@@ -146,6 +140,8 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
         events: list[LocationEvent] = []
         stats = IngestStats()
         fmt = schema.timestamp_format
+        parse_time = datetime.fromisoformat if fmt is None else lambda raw: datetime.strptime(raw, fmt)
+        new_event = functools.partial(tuple.__new__, LocationEvent)  # skips the named tuple's Python __new__
         shared = {}.setdefault  # one string object per distinct admission id or location
         aware: bool | None = None
         rows_read = 0
@@ -164,7 +160,7 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
                 stats.reject("location")
                 continue
             try:
-                timestamp = _parse_timestamp(row[t_col].strip(), fmt)
+                timestamp = parse_time(row[t_col].strip())
             except ValueError:
                 stats.reject("timestamp")
                 continue
@@ -175,8 +171,8 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
             elif row_aware != aware:
                 stats.reject("timezone")
                 continue
-            events.append(LocationEvent(shared(admission, admission), shared(location, location),
-                                        timestamp, rows_read))
+            events.append(new_event((shared(admission, admission), shared(location, location),
+                                     timestamp, rows_read)))
     stats.rows_read = rows_read
     return events, stats
 
@@ -193,17 +189,16 @@ def reconstruct_journeys(events: Iterable[LocationEvent]) -> list[AdmissionJourn
     consecutive identical locations are merged keeping the earliest
     timestamp. Output is sorted by admission id for determinism.
     """
-    by_admission: defaultdict[str, list[LocationEvent]] = defaultdict(list)
-    for event in events:
-        by_admission[event[0]].append(event)
-
+    admission = operator.itemgetter(0)
     order = operator.itemgetter(2, 3)  # (timestamp, source_row)
     journeys = []
-    for admission_id in sorted(by_admission):
-        _, locations, timestamps, _ = zip(*sorted(by_admission[admission_id], key=order))
-        keep = _first_of_runs(locations)
-        journeys.append(AdmissionJourney(admission_id, tuple(compress(locations, keep)),
-                                         tuple(compress(timestamps, keep))))
+    # a stable sort by admission id groups the events in C and keeps their input order
+    for admission_id, group in groupby(sorted(events, key=admission), admission):
+        _, locations, timestamps, _ = zip(*sorted(group, key=order))
+        if not all(map(operator.ne, locations[1:], locations)):
+            keep = _first_of_runs(locations)
+            locations, timestamps = tuple(compress(locations, keep)), tuple(compress(timestamps, keep))
+        journeys.append(AdmissionJourney(admission_id, locations, timestamps))
     return journeys
 
 

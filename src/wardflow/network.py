@@ -4,7 +4,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
 from xml.etree import ElementTree
 
@@ -80,13 +82,10 @@ class TransferNetwork:
 
 def build_network(journeys: Iterable[AdmissionJourney]) -> TransferNetwork:
     """Count consecutive stop pairs over all journeys into a directed network."""
-    nodes: set[str] = set()
-    edges: dict[tuple[str, str], int] = {}
-    for journey in journeys:
-        nodes.update(journey.stops)
-        for u, v in zip(journey.stops, journey.stops[1:]):
-            edges[(u, v)] = edges.get((u, v), 0) + 1
-    return TransferNetwork(frozenset(nodes), edges, directed=True)
+    stops = [journey.stops for journey in journeys]
+    # Counter counts in C and keeps first-seen order, so edges come out in the order a loop would add them
+    edges = Counter(chain.from_iterable(zip(path, path[1:]) for path in stops))
+    return TransferNetwork(frozenset(chain.from_iterable(stops)), dict(edges), directed=True)
 
 
 def undirected_projection(net: TransferNetwork) -> TransferNetwork:

@@ -39,6 +39,10 @@ _TABLE_FLOOR = 1e-6
 _TABLE_CAP = 1 << 21
 # a batched fit runs one golden section per group of samples holding this many xmin candidates
 _GROUP_CANDIDATES = 1 << 16
+# Below this many drawn values (replicates × sample size) the bootstrap runs in
+# this process: starting forked workers costs more than the refits save. On 2
+# CPUs, 200 replicates broke even at a sample of about 100.
+_POOL_MIN_DRAWS = 20_000
 
 
 @dataclass(frozen=True)
@@ -340,6 +344,13 @@ def _check_failures(failed: int, n_boot: int) -> None:
         raise ValueError(f"{failed}/{n_boot} bootstrap replicates failed to refit")
 
 
+def _replicate_blocks(func, args: tuple, n_boot: int, size: int) -> list:
+    """`pool.map_blocks` over the replicates, or one block in this process for a small bootstrap."""
+    if n_boot * size < _POOL_MIN_DRAWS:
+        return func(*args, range(n_boot))
+    return pool.map_blocks(func, args, n_boot)
+
+
 def _gof_block(fit: PowerLawFit, below: np.ndarray, n: int, table: tuple[float, np.ndarray], seed: int,
                block: range) -> list[float | None]:
     """Refit KS distance of each goodness-of-fit replicate in the block; None where the refit fails."""
@@ -366,14 +377,15 @@ def gof_pvalue(fit: PowerLawFit, samples: Iterable[int], n_boot: int, seed: int)
     p is the fraction of synthetic replicates whose refit KS distance is at
     least the observed one; deterministic given the seed. Replicates that
     fail to refit are excluded; more than 10% failures is an error.
-    Contiguous blocks of replicates run on the usable CPUs, each replicate
-    from its own seed, so p does not depend on the number of workers.
+    Contiguous blocks of replicates run on the usable CPUs, or in this process
+    when the bootstrap is small, each replicate from its own seed, so p does
+    not depend on the number of workers.
     """
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     x = _prepare(samples)
     table = _inverse_cdf(fit.gamma, fit.xmin)
-    ks = pool.map_blocks(_gof_block, (fit, x[x < fit.xmin], len(x), table, seed), n_boot)
+    ks = _replicate_blocks(_gof_block, (fit, x[x < fit.xmin], len(x), table, seed), n_boot, len(x))
     failed = ks.count(None)
     _check_failures(failed, n_boot)
     exceed = sum(1 for value in ks if value is not None and value >= fit.ks_stat)
@@ -398,7 +410,7 @@ def bootstrap_ci(samples: Iterable[int], n_boot: int, seed: int, level: float = 
 def _bootstrap_ci(x: np.ndarray, reference: PowerLawFit, n_boot: int, seed: int,
                   level: float) -> tuple[float, float]:
     """`bootstrap_ci` of the prepared sample x, whose fit `reference` already is."""
-    refits = pool.map_blocks(_ci_block, (x, _refit_xmin(reference), seed), n_boot)
+    refits = _replicate_blocks(_ci_block, (x, _refit_xmin(reference), seed), n_boot, len(x))
     gammas = [gamma for gamma in refits if gamma is not None]
     _check_failures(n_boot - len(gammas), n_boot)
     alpha = (1.0 - level) / 2.0

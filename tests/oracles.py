@@ -260,7 +260,8 @@ def brute_avg_path_candidates(net: TransferNetwork, directed: bool) -> tuple[set
 
 # Event-log ingest as it was written first: csv.DictReader rows, one frozen
 # dataclass per event, timestamps parsed row by row. The compact parser in
-# wardflow.eventlog must agree with it on events, tallies and journeys.
+# wardflow.eventlog must agree with it on events, tallies and journeys, and
+# wardflow.network.build_network with the loop that first counted the edges.
 
 
 @dataclass(frozen=True)
@@ -362,6 +363,17 @@ def ref_apply_category_map(journeys: list[RefJourney], category_map: CategoryMap
             times.append(time)
         mapped.append(RefJourney(journey.admission_id, tuple(stops), tuple(times)))
     return mapped
+
+
+def ref_build_network(journeys) -> TransferNetwork:
+    """`build_network` as a loop over stop pairs; edges in first-seen order, which sets `_pearson`'s summation order."""
+    nodes: set[str] = set()
+    edges: dict[tuple[str, str], int] = {}
+    for journey in journeys:
+        nodes.update(journey.stops)
+        for u, v in zip(journey.stops, journey.stops[1:]):
+            edges[(u, v)] = edges.get((u, v), 0) + 1
+    return TransferNetwork(frozenset(nodes), edges, directed=True)
 
 
 # GraphML through networkx: the writer and reader wardflow used before its

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import jsonschema
 import pytest
 
 import wardflow
+from wardflow import cli, eventlog
 from wardflow.cli import main
 from wardflow.network import TransferNetwork, export_network
 
@@ -372,3 +374,41 @@ def test_repeated_identical_category_row_is_accepted(log_file, tmp_path, capsys)
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture()
+def collector_state():
+    """Restores the collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("outcome", ["network", "SchemaError", "UnknownLocationError"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_log_ingest_pauses_the_collector_and_restores_its_state(log_file, tmp_path, monkeypatch,
+                                                                 collector_state, enabled, outcome):
+    categories = tmp_path / "map.csv"
+    categories.write_text(CATEGORIES)
+    if outcome == "SchemaError":
+        log_file.write_text("id,where,when\n1,ED,2016-01-01\n")
+    argv = ["build", str(log_file), "--categories", str(categories)]
+    if outcome == "UnknownLocationError":
+        argv += ["--category-policy", "reject-unknown"]  # ED and CT have no category
+    seen = []
+
+    def spy(*args, _original=cli.parse_event_log, **kwargs):
+        seen.append(gc.isenabled())
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_event_log", spy)
+    args = cli._build_parser().parse_args(argv)
+    (gc.enable if enabled else gc.disable)()
+    if outcome == "network":
+        net, _ = cli._network_from_log(args.log, args)
+        assert net.nodes == {"ED", "CT", "medical"}
+    else:
+        with pytest.raises(getattr(eventlog, outcome)):
+            cli._network_from_log(args.log, args)
+    assert seen == [False]
+    assert gc.isenabled() is enabled

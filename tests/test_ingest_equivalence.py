@@ -3,18 +3,21 @@
 Generated logs carry blank lines, short and long rows, padded and empty
 fields, bad timestamps, naive and offset-aware timestamps mixed, a header
 column repeated, `;` delimiters and strptime formats. Parse, journeys,
-category map and network must come out equal, tallies included.
+category map and network must come out equal, tallies included, and the
+network's edges in the reference's insertion order.
 """
 import csv
 import io
+import random
 from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_apply_category_map, ref_parse_event_log, ref_reconstruct_journeys
+from oracles import ref_apply_category_map, ref_build_network, ref_parse_event_log, ref_reconstruct_journeys
 from wardflow.eventlog import (
+    AdmissionJourney,
     CategoryMap,
     LocationEvent,
     LogSchema,
@@ -121,21 +124,48 @@ def test_ingest_matches_the_dictreader_reference(log, as_bytes):
     events, stats = parse_event_log(_source(text, as_bytes), schema)
 
     assert _events(events) == _events(ref_events)
+    # a plain tuple would compare equal too; the events must stay LocationEvents
+    assert all(type(event) is LocationEvent for event in events)
     assert (stats.rows_read, stats.rows_rejected) == (ref_stats.rows_read, ref_stats.rows_rejected)
     assert list(stats.rejections.items()) == list(ref_stats.rejections.items())
 
     journeys = reconstruct_journeys(events)
     ref_journeys = ref_reconstruct_journeys(ref_events)
     assert _journeys(journeys) == _journeys(ref_journeys)
+    assert _journeys(reconstruct_journeys(events[::-1])) == _journeys(ref_journeys)
 
     mapped = apply_category_map(journeys, CATEGORIES)
     ref_mapped = ref_apply_category_map(ref_journeys, CATEGORIES)
     assert _journeys(mapped) == _journeys(ref_mapped)
 
     for ours, theirs in ((journeys, ref_journeys), (mapped, ref_mapped)):
-        net, ref_net = build_network(ours), build_network(theirs)
-        assert net == ref_net
+        net, ref_net = build_network(ours), ref_build_network(theirs)
+        assert net.nodes == ref_net.nodes
+        # same weights in the same insertion order, which sets the float summation order of `_pearson`
         assert list(net.edges.items()) == list(ref_net.edges.items())
+        assert type(net.edges) is dict
+
+
+@pytest.mark.parametrize("fmt, stamp", [(None, "2016-03-01T08:00"), (STRPTIME_FORMAT, "01/03/2016 08:00")])
+def test_events_are_location_events_on_either_timestamp_path(fmt, stamp):
+    text = "admission_id,location,timestamp\n" + f"a1,ED,{stamp}\na2,CT,{stamp}\n"
+    events, _ = parse_event_log(io.StringIO(text), LogSchema(timestamp_format=fmt))
+    assert [type(event) for event in events] == [LocationEvent, LocationEvent]
+    assert events[1].location == "CT" and events[1].timestamp == datetime(2016, 3, 1, 8)
+
+
+def test_build_network_matches_the_loop_on_generated_journeys():
+    """Many journeys over shared stops: weights, nodes and edge insertion order as the loop gives them."""
+    rng = random.Random(5)
+    journeys = []
+    for i in range(400):
+        stops = [rng.choice("ABCDEFGH")]
+        for _ in range(rng.randrange(0, 12)):
+            stops.append(rng.choice([s for s in "ABCDEFGH" if s != stops[-1]]))
+        journeys.append(AdmissionJourney(f"a{i}", tuple(stops), (datetime(2016, 3, 1),) * len(stops)))
+    net, ref = build_network(iter(journeys)), ref_build_network(journeys)
+    assert net.nodes == ref.nodes
+    assert list(net.edges.items()) == list(ref.edges.items())
 
 
 def test_generated_logs_reach_every_rejection_reason():

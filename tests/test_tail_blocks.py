@@ -15,6 +15,12 @@ from wardflow import pool, powerlaw
 from wardflow.powerlaw import FIXED, SCAN, analyze_tail, bootstrap_ci, fit_tail, gof_pvalue, sample_tail
 
 
+@pytest.fixture(autouse=True)
+def pool_every_bootstrap(monkeypatch):
+    """These samples are small; without this the 2-worker cases would never reach the pool."""
+    monkeypatch.setattr(powerlaw, "_POOL_MIN_DRAWS", 0)
+
+
 def outcome(call):
     """The call's value, or the message of the ValueError it raises."""
     try:
@@ -114,3 +120,23 @@ def test_analyze_tail_fits_the_observed_sample_once(monkeypatch):
     lo, hi = ref_bootstrap_ci(samples, 12, 7)
     assert (expected.ci_low, expected.ci_high) == (lo, hi)
     assert expected.p_value == ref_gof_pvalue(fit_tail(samples), samples, 12, 7)
+
+
+@pytest.mark.parametrize("n_boot, pooled", [(10, False), (11, True)])
+def test_a_small_bootstrap_runs_in_this_process(monkeypatch, n_boot, pooled):
+    """Below the floor of replicates × sample size the blocks skip the pool; the values do not change."""
+    samples = [1, 1, 2, 2, 3, 4, 5, 7, 9, 12]
+    fit = fit_tail(samples)
+    expected = (gof_pvalue(fit, samples, n_boot, 5), bootstrap_ci(samples, n_boot, 5))
+    monkeypatch.setattr(powerlaw, "_POOL_MIN_DRAWS", 101)  # 10 replicates of 10 values stay below it
+    calls = []
+    original = pool.map_blocks
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(pool, "map_blocks", counting)
+    monkeypatch.setattr(pool, "_worker_count", lambda tasks: min(2, tasks))
+    assert (gof_pvalue(fit, samples, n_boot, 5), bootstrap_ci(samples, n_boot, 5)) == expected
+    assert calls == ([n_boot, n_boot] if pooled else [])
