@@ -29,7 +29,7 @@ class HubBottleneckTable:
 
 @dataclass(frozen=True)
 class RoleTable:
-    roles: Mapping[str, str]
+    labels: Mapping[str, str]
     threshold: float
     threshold_sd: float
 
@@ -81,6 +81,8 @@ def label_distributors_receivers(node_metrics: Mapping[str, NodeMetrics],
     """
     if len(node_metrics) < 2:
         raise ValueError("need at least 2 nodes")
+    if not threshold_sd >= 0.0:
+        raise ValueError(f"threshold_sd must be >= 0, got {threshold_sd}")
     labels = sorted(node_metrics)
     values = np.array([node_metrics[x].net_connectivity for x in labels], dtype=float)
     sd = float(values.std())

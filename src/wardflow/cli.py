@@ -305,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            parser.error(f"seed must be >= 0, got {args.seed}")
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.func(args)

@@ -99,7 +99,7 @@ DENSE_RATIO = 16
 
 def _width(core: GraphCore) -> int:
     """Sources per batch."""
-    return max(1, min(core.n, BATCH_CELLS // (core.n + core.out.nnz)))
+    return max(1, min(core.n, BATCH_CELLS // max(1, core.n + core.out.nnz)))
 
 
 def _batches(core: GraphCore) -> Iterator[_Batch]:

@@ -59,14 +59,19 @@ class PowerLawFit:
     seed: int | None = None
 
 
+class Outlier(NamedTuple):
+    label: str
+    studentized_residual: float
+
+
 @dataclass(frozen=True)
 class RegressionFit:
     kind: str
     coefficients: tuple[float, ...]
     baseline: float | None
     residual_sd: float
-    outliers: tuple[tuple[str, float], ...]
-    outlier_threshold: float = 2.0
+    outlier_threshold: float
+    outliers: tuple[Outlier, ...]
 
 
 def _prepare(samples: Iterable[int]) -> np.ndarray:
@@ -435,7 +440,7 @@ def analyze_tail(samples: Iterable[int], n_boot: int, seed: int, level: float = 
 
 
 def _ols_outliers(design: np.ndarray, y: np.ndarray, labels: list[str],
-                  threshold: float) -> tuple[np.ndarray, float, tuple[tuple[str, float], ...]]:
+                  threshold: float) -> tuple[np.ndarray, float, tuple[Outlier, ...]]:
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     dof = len(y) - design.shape[1]
@@ -450,7 +455,7 @@ def _ols_outliers(design: np.ndarray, y: np.ndarray, labels: list[str],
     scale = sigma * np.sqrt(np.clip(1.0 - leverage, 1e-12, None))
     studentized = resid / scale
     flagged = [
-        (labels[i], float(studentized[i]))
+        Outlier(labels[i], float(studentized[i]))
         for i in range(len(labels))
         if abs(studentized[i]) > threshold
     ]
@@ -478,7 +483,7 @@ def fit_strength_degree(net: TransferNetwork, threshold: float = 2.0) -> Regress
     coef, sigma, outliers = _ols_outliers(design, np.log(s), labels, threshold)
     baseline = net.total_weight / net.edge_count
     return RegressionFit(STRENGTH_DEGREE, (float(coef[0]), float(coef[1])), baseline,
-                         sigma, outliers, threshold)
+                         sigma, threshold, outliers)
 
 
 def fit_betweenness_degree(node_metrics: Mapping[str, NodeMetrics], threshold: float = 2.0) -> RegressionFit:
@@ -497,7 +502,7 @@ def fit_betweenness_degree(node_metrics: Mapping[str, NodeMetrics], threshold: f
         raise ValueError("rank-deficient design: degrees span fewer than 3 values")
     coef, sigma, outliers = _ols_outliers(design, b, labels, threshold)
     return RegressionFit(BETWEENNESS_DEGREE, tuple(float(c) for c in coef), None,
-                         sigma, outliers, threshold)
+                         sigma, threshold, outliers)
 
 
 def fit_knn_degree(net: TransferNetwork, threshold: float = 2.0) -> RegressionFit:
@@ -516,4 +521,4 @@ def fit_knn_curve(curve: Mapping[int, float], threshold: float = 2.0) -> Regress
     design = np.column_stack([k, np.ones(len(k))])
     coef, sigma, outliers = _ols_outliers(design, v, labels, threshold)
     return RegressionFit(KNN_DEGREE, (float(coef[0]), float(coef[1])), None,
-                         sigma, outliers, threshold)
+                         sigma, threshold, outliers)

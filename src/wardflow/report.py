@@ -1,7 +1,9 @@
 """Assemble the JSON analysis report from the individual analysis sections."""
 from __future__ import annotations
 
-from typing import Any, Iterable
+import dataclasses
+import functools
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -24,124 +26,63 @@ def derive_seed(master: int, domain: int) -> int:
     return int(np.random.SeedSequence((master, domain)).generate_state(1)[0])
 
 
-def _with_reasons(payload: dict[str, Any], reasons: dict[str, str]) -> dict[str, Any]:
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """Field names of a dataclass or named tuple type, else None; cached, as node rows come in thousands."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return getattr(cls, "_fields", None)
+
+
+def _plain(value: Any) -> Any:
+    """The report form of a result, as JSON-ready dicts and lists.
+
+    A dataclass or named tuple becomes a dict of its fields in declaration
+    order. A `reasons` mapping is not written itself: each reason follows
+    the null field it explains, as `<field>_reason`. Other sequences become
+    lists and mapping keys become strings.
+    """
+    names = _field_names(type(value))
+    if names is None:
+        if value is None or isinstance(value, (str, int, float)):
+            return value
+        if isinstance(value, Mapping):
+            return {str(key): _plain(item) for key, item in value.items()}
+        return [_plain(item) for item in value]
+    fields = {name: getattr(value, name) for name in names}
+    if set(map(type, fields.values())) <= {str, int, float}:
+        return fields  # no null, no nesting: a node row, most often
+    reasons = fields.pop("reasons", {})
     out: dict[str, Any] = {}
-    for key, value in payload.items():
-        out[key] = value
-        if value is None and key in reasons:
-            out[f"{key}_reason"] = reasons[key]
+    for name, item in fields.items():
+        out[name] = _plain(item)
+        if item is None and name in reasons:
+            out[f"{name}_reason"] = reasons[name]
     return out
 
 
-def _serialize_node(metric: metrics_mod.NodeMetrics) -> dict[str, Any]:
-    row: dict[str, Any] = {
-        "label": metric.label,
-        "degree": metric.degree,
-        "in_degree": metric.in_degree,
-        "out_degree": metric.out_degree,
-        "net_connectivity": metric.net_connectivity,
-        "strength": metric.strength,
-        "in_strength": metric.in_strength,
-        "out_strength": metric.out_strength,
-        "clustering": metric.clustering,
-        "betweenness": metric.betweenness,
-        "knn_weighted": metric.knn_weighted,
-    }
+def _capture(out: dict[str, Any], key: str, producer: Callable[[], Any]) -> bool:
+    """out[key] = producer(), or None and a `<key>_reason` if it raises; True on failure."""
+    try:
+        out[key] = producer()
+    except Exception as exc:  # noqa: BLE001 - failures become report entries
+        out[key] = None
+        out[f"{key}_reason"] = str(exc)
+        return True
+    return False
+
+
+def _node_row(metric: metrics_mod.NodeMetrics) -> dict[str, Any]:
+    row = _plain(metric)
     if metric.knn_weighted is None:
         row["knn_weighted_reason"] = "isolated node"
     return row
 
 
-def _serialize_network_metrics(m: metrics_mod.NetworkMetrics) -> dict[str, Any]:
-    payload = {
-        "node_count": m.node_count,
-        "edge_count": m.edge_count,
-        "total_weight": m.total_weight,
-        "mean_edge_weight": m.mean_edge_weight,
-        "reciprocity": m.reciprocity,
-        "flow_hierarchy": m.flow_hierarchy,
-        "global_clustering": m.global_clustering,
-        "transitivity": m.transitivity,
-        "avg_shortest_path": m.avg_shortest_path,
-        "path_coverage": m.path_coverage,
-        "avg_shortest_path_undirected": m.avg_shortest_path_undirected,
-        "undirected_path_coverage": m.undirected_path_coverage,
-        "assortativity": m.assortativity,
-        "assortativity_undirected": m.assortativity_undirected,
-    }
-    out = _with_reasons(payload, dict(m.reasons))
-    out["degree_distribution"] = {str(k): p for k, p in m.degree_distribution.items()}
-    return out
-
-
-def _serialize_power_fit(fit: powerlaw_mod.PowerLawFit) -> dict[str, Any]:
-    return {
-        "gamma": fit.gamma,
-        "xmin": fit.xmin,
-        "n_tail": fit.n_tail,
-        "ks_stat": fit.ks_stat,
-        "xmin_policy": fit.xmin_policy,
-        "p_value": fit.p_value,
-        "ci_low": fit.ci_low,
-        "ci_high": fit.ci_high,
-        "n_bootstrap": fit.n_bootstrap,
-        "seed": fit.seed,
-    }
-
-
-def _serialize_regression(fit: powerlaw_mod.RegressionFit) -> dict[str, Any]:
-    return {
-        "kind": fit.kind,
-        "coefficients": list(fit.coefficients),
-        "baseline": fit.baseline,
-        "residual_sd": fit.residual_sd,
-        "outlier_threshold": fit.outlier_threshold,
-        "outliers": [{"label": label, "studentized_residual": r} for label, r in fit.outliers],
-    }
-
-
-def _serialize_small_world(report: smallworld_mod.SmallWorldReport) -> dict[str, Any]:
-    payload = {
-        "clustering": report.clustering,
-        "path_length": report.path_length,
-        "path_coverage": report.path_coverage,
-        "path_scope": "undirected-projection",
-        "clustering_random": report.clustering_random,
-        "path_length_random": report.path_length_random,
-        "clustering_lattice": report.clustering_lattice,
-        "sigma": report.sigma,
-        "omega": report.omega,
-    }
-    out = _with_reasons(payload, dict(report.reasons))
-    out.update(
-        {
-            "n_samples": report.n_samples,
-            "seed": report.seed,
-            "n_swaps_random": report.n_swaps_random,
-            "n_swaps_lattice": report.n_swaps_lattice,
-            "accepted_swaps_random": list(report.accepted_swaps_random),
-            "accepted_swaps_lattice": list(report.accepted_swaps_lattice),
-        }
-    )
-    return out
-
-
-def _serialize_attack(result: resilience_mod.AttackResult) -> dict[str, Any]:
-    return {
-        "strategy": result.strategy,
-        "recompute_policy": result.recompute_policy,
-        "step_fraction": result.step_fraction,
-        "seed": result.seed,
-        "steps": [
-            {
-                "fraction_removed": step.fraction_removed,
-                "wcc_fraction": step.wcc_fraction,
-                "scc_fraction": step.scc_fraction,
-                "efficiency": step.efficiency,
-            }
-            for step in result.steps
-        ],
-    }
+def _attack_entry(result: resilience_mod.AttackResult) -> dict[str, Any]:
+    entry = _plain(result)
+    entry["steps"] = entry.pop("steps")  # the seed is written before the steps
+    return entry
 
 
 def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
@@ -163,6 +104,8 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
         raise ValueError(f"unknown sections to skip: {sorted(unknown)}")
     if boot < 0:
         raise ValueError(f"boot must be >= 0 (0 skips the bootstrap), got {boot}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     directed = as_symmetric_directed(net)
     report: dict[str, Any] = {
@@ -191,26 +134,17 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
     failures = 0
     total = 0
 
-    def section(name: str, producer) -> None:
+    def section(name: str, producer: Callable[[], Any]) -> None:
         nonlocal failures, total
         if name in skip_set:
             return
         total += 1
-        try:
-            report[name] = producer()
-        except Exception as exc:  # noqa: BLE001 - failures become report entries
-            failures += 1
-            report[name] = None
-            report[f"{name}_reason"] = str(exc)
+        failures += _capture(report, name, producer)
 
     def ingest_section():
         if ingest is None:
             raise ValueError("no ingest performed for this input")
-        return {
-            "rows_read": ingest.rows_read,
-            "rows_rejected": ingest.rows_rejected,
-            "rejections": dict(sorted(ingest.rejections.items())),
-        }
+        return _plain(dataclasses.replace(ingest, rejections=dict(sorted(ingest.rejections.items()))))
 
     section("ingest", ingest_section)
     section(
@@ -236,32 +170,28 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
         per_node = {label: m.knn_weighted for label, m in node_metrics().items()}
         return metrics_mod.knn_curve(directed, per_node)
 
-    section("node_metrics", lambda: [_serialize_node(m) for _, m in sorted(node_metrics().items())])
-    section("network_metrics", lambda: _serialize_network_metrics(metrics_mod.compute_network_metrics(directed)))
+    section("node_metrics", lambda: [_node_row(m) for _, m in sorted(node_metrics().items())])
+    section("network_metrics", lambda: _plain(metrics_mod.compute_network_metrics(directed)))
 
     def fits_section():
         out: dict[str, Any] = {}
         degree_samples = [m.degree for m in node_metrics().values() if m.degree >= 1]
         parts = {
-            "degree_tail": lambda: _serialize_power_fit(
-                powerlaw_mod.analyze_tail(degree_samples, n_boot=boot, seed=derive_seed(seed, _POWERLAW_DOMAIN))
+            "degree_tail": lambda: powerlaw_mod.analyze_tail(
+                degree_samples, n_boot=boot, seed=derive_seed(seed, _POWERLAW_DOMAIN)
             ),
-            "strength_degree": lambda: _serialize_regression(powerlaw_mod.fit_strength_degree(directed)),
-            "betweenness_degree": lambda: _serialize_regression(powerlaw_mod.fit_betweenness_degree(node_metrics())),
-            "knn_degree": lambda: _serialize_regression(powerlaw_mod.fit_knn_curve(knn_curve())),
+            "strength_degree": lambda: powerlaw_mod.fit_strength_degree(directed),
+            "betweenness_degree": lambda: powerlaw_mod.fit_betweenness_degree(node_metrics()),
+            "knn_degree": lambda: powerlaw_mod.fit_knn_curve(knn_curve()),
         }
         for key, producer in parts.items():
-            try:
-                out[key] = producer()
-            except Exception as exc:  # noqa: BLE001
-                out[key] = None
-                out[f"{key}_reason"] = str(exc)
+            _capture(out, key, lambda: _plain(producer()))
         return out
 
     section("fits", fits_section)
     section(
         "small_world",
-        lambda: _serialize_small_world(
+        lambda: _plain(
             smallworld_mod.small_world_report(
                 undirected_projection(directed),
                 n_samples=sw_samples,
@@ -273,20 +203,9 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
     )
 
     def classification_section():
-        table = classify_mod.classify_hubs_bottlenecks(node_metrics(), quantile)
-        roles = classify_mod.label_distributors_receivers(node_metrics(), role_threshold_sd)
         return {
-            "hubs_bottlenecks": {
-                "quadrants": dict(sorted(table.quadrants.items())),
-                "degree_threshold": table.degree_threshold,
-                "betweenness_threshold": table.betweenness_threshold,
-                "quantile": table.quantile,
-            },
-            "roles": {
-                "labels": dict(sorted(roles.roles.items())),
-                "threshold": roles.threshold,
-                "threshold_sd": roles.threshold_sd,
-            },
+            "hubs_bottlenecks": _plain(classify_mod.classify_hubs_bottlenecks(node_metrics(), quantile)),
+            "roles": _plain(classify_mod.label_distributors_receivers(node_metrics(), role_threshold_sd)),
         }
 
     section("classification", classification_section)
@@ -300,7 +219,7 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
                 )
             else:
                 result = resilience_mod.attack(directed, strategy, step_fraction=attack_step)
-            out[strategy] = _serialize_attack(result)
+            out[strategy] = _attack_entry(result)
         return out
 
     section("resilience", resilience_section)

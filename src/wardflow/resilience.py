@@ -56,10 +56,8 @@ def _measure(core: GraphCore, alive: np.ndarray, n_total: int) -> tuple[float, f
 def _ranking(core: GraphCore, alive: np.ndarray, score: Callable[[GraphCore], np.ndarray]) -> list[int]:
     """Alive node indices by descending score on the alive subgraph, ties broken by label."""
     members = np.flatnonzero(alive)
-    sub = core.subgraph(members)
-    scores = score(sub)
-    ranked = sorted(range(len(members)), key=lambda i: (-scores[i], sub.labels[i]))
-    return [int(members[i]) for i in ranked]
+    # a stable sort keeps tied members in index order, which is label order
+    return members[np.argsort(-score(core.subgraph(members)), kind="stable")].tolist()
 
 
 def attack(net: TransferNetwork, strategy: str, step_fraction: float = 0.05,

@@ -47,6 +47,7 @@ class SmallWorldReport:
     clustering: float | None
     path_length: float | None
     path_coverage: float | None
+    path_scope: str
     clustering_random: float | None
     path_length_random: float | None
     clustering_lattice: float | None
@@ -332,6 +333,7 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
         clustering=c_av,
         path_length=l_av,
         path_coverage=coverage,
+        path_scope=metrics_mod.PROJECTION_SCOPE,
         clustering_random=c_rand,
         path_length_random=l_rand,
         clustering_lattice=c_lat,

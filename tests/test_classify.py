@@ -71,7 +71,7 @@ def test_classification_needs_a_node_and_valid_quantile():
 def test_roles_balanced_network():
     table = {f"n{i}": row(f"n{i}", net_connectivity=0) for i in range(4)}
     result = label_distributors_receivers(table)
-    assert all(role == BALANCED for role in result.roles.values())
+    assert all(role == BALANCED for role in result.labels.values())
     assert result.threshold == 0.0
 
 
@@ -79,20 +79,32 @@ def test_roles_planted_distributor():
     table = {f"n{i}": row(f"n{i}", net_connectivity=1) for i in range(10)}
     table["spreader"] = row("spreader", net_connectivity=-10)
     result = label_distributors_receivers(table, threshold_sd=2.0)
-    assert result.roles["spreader"] == DISTRIBUTOR
-    assert all(result.roles[f"n{i}"] == BALANCED for i in range(10))
+    assert result.labels["spreader"] == DISTRIBUTOR
+    assert all(result.labels[f"n{i}"] == BALANCED for i in range(10))
 
 
 def test_roles_receiver_side():
     table = {f"n{i}": row(f"n{i}", net_connectivity=-1) for i in range(10)}
     table["sink"] = row("sink", net_connectivity=10)
     result = label_distributors_receivers(table, threshold_sd=2.0)
-    assert result.roles["sink"] == RECEIVER
+    assert result.labels["sink"] == RECEIVER
 
 
 def test_roles_need_two_nodes():
     with pytest.raises(ValueError):
         label_distributors_receivers({"a": row("a")})
+
+
+def test_roles_reject_a_negative_threshold():
+    # hub -> a, b, c, d; a, b, c -> sink; d -> e -> f: a negative cut would
+    # make every node but the sink a distributor, f (+1) included
+    net_connectivity = {"hub": -4, "a": 0, "b": 0, "c": 0, "d": 0, "e": 0, "f": 1, "sink": 3}
+    table = {label: row(label, net_connectivity=k) for label, k in net_connectivity.items()}
+    with pytest.raises(ValueError, match="threshold_sd must be >= 0, got -1"):
+        label_distributors_receivers(table, threshold_sd=-1.0)
+    with pytest.raises(ValueError, match="threshold_sd"):
+        label_distributors_receivers(table, threshold_sd=float("nan"))
+    assert label_distributors_receivers(table, threshold_sd=0.0).labels["f"] == RECEIVER
 
 
 def test_classification_invariant_to_weight_scaling():

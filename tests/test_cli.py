@@ -148,6 +148,42 @@ def test_analyze_negative_boot_is_usage_error(log_file, capsys):
     assert "boot must be >= 0" in err
 
 
+@pytest.mark.parametrize("command", [["analyze", "{log}", "--from-log"],
+                                     ["synth", "--model", "er", "--n", "5", "--p", "0.5", "--journeys", "3"]])
+def test_negative_seed_is_usage_error(log_file, capsys, command):
+    argv = [token.format(log=log_file) for token in command]
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert "seed must be >= 0, got -1" in err
+
+
+def test_analyze_negative_role_threshold_is_a_section_failure(log_file, capsys):
+    code, out, _ = run(capsys, *analyze_args(log_file, "--role-threshold-sd", "-1", "--skip", "small_world"))
+    assert code == 0
+    report = json.loads(out)
+    assert report["classification"] is None
+    assert report["classification_reason"] == "threshold_sd must be >= 0, got -1.0"
+
+
+@pytest.mark.parametrize("name, text, flags", [
+    ("edges.csv", "from,to,weight\n", []),
+    ("log.csv", "admission_id,location,timestamp\na1,ED,not-a-time\na2,,2016-03-01T08:00\n", ["--from-log"]),
+])
+def test_analyze_empty_network_reports_no_node_rows(tmp_path, capsys, name, text, flags):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, _ = run(capsys, "analyze", path, *flags, "--boot", "5", "--sw-samples", "1")
+    assert code == 0
+    report = json.loads(out)
+    schema = json.loads(resources.files("wardflow").joinpath("report_schema.json").read_text())
+    jsonschema.validate(report, schema)
+    assert report["network_summary"]["nodes"] == 0
+    assert report["node_metrics"] == []
+    assert report["fits"]["degree_tail_reason"] == "no samples"
+    assert report["classification_reason"] == "need at least 1 node"
+    assert "division" not in out
+
+
 def test_analyze_boot_zero_skips_the_bootstrap(log_file, capsys):
     code, out, _ = run(capsys, *analyze_args(log_file, "--boot", "0", "--skip", "small_world"))
     assert code == 0
@@ -249,11 +285,11 @@ def test_report_format_carries_published_style_values(capsys):
     # the report layout must be able to carry tail fits of the shape seen in
     # published analyses: gamma with a bootstrap CI and a goodness-of-fit p
     from wardflow.powerlaw import PowerLawFit
-    from wardflow.report import _serialize_power_fit
+    from wardflow.report import _plain
 
     fit = PowerLawFit(gamma=6.18, xmin=14, n_tail=37, ks_stat=0.08,
                       p_value=0.46, ci_low=6.14, ci_high=6.26, n_bootstrap=500, seed=1)
-    payload = _serialize_power_fit(fit)
+    payload = _plain(fit)
     assert payload["gamma"] == 6.18
     assert (payload["ci_low"], payload["ci_high"]) == (6.14, 6.26)
     assert payload["p_value"] == 0.46

@@ -148,3 +148,20 @@ def test_betweenness_attack_matches_recorded_order_and_steps():
     for step, (fraction, wcc, scc, efficiency) in zip(result.steps, GOLDEN_BETWEENNESS_STEPS):
         assert (step.fraction_removed, step.wcc_fraction, step.scc_fraction) == (fraction, wcc, scc)
         assert step.efficiency == pytest.approx(efficiency, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alive_share", [1.0, 0.8, 0.5])
+def test_ranking_matches_a_sort_by_score_then_label(alive_share):
+    from wardflow import paths
+    from wardflow.paths import GraphCore
+    from wardflow.resilience import _ranking
+
+    core = generate_network(ModelSpec("preferential-attachment", n=80, seed=5, m=2)).core
+    alive = np.zeros(core.n, dtype=bool)
+    alive[np.random.default_rng(3).permutation(core.n)[:int(alive_share * core.n)]] = True
+    members = np.flatnonzero(alive)
+    for score in (GraphCore.degrees, paths.betweenness):
+        scores = dict(zip(members.tolist(), score(core.subgraph(members))))
+        expected = sorted(scores, key=lambda i: (-scores[i], core.labels[i]))
+        assert len(set(scores.values())) < len(scores)  # ties to break
+        assert _ranking(core, alive, score) == expected
