@@ -61,11 +61,19 @@ def _schema_from_args(args) -> LogSchema:
     )
 
 
+def _delimiter(text: str) -> str:
+    try:
+        LogSchema(delimiter=text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _add_log_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--admission-col", default="admission_id")
     parser.add_argument("--location-col", default="location")
     parser.add_argument("--timestamp-col", default="timestamp")
-    parser.add_argument("--delimiter", default=",")
+    parser.add_argument("--delimiter", type=_delimiter, default=",")
     parser.add_argument("--timestamp-format", default=None,
                         help="strptime format; default ISO-8601")
     parser.add_argument("--categories", default=None, help="two-column location,category file")

@@ -47,6 +47,17 @@ class AdmissionJourney:
             a = next(a for a, b in zip(self.stops, self.stops[1:]) if a == b)
             raise ValueError(f"consecutive duplicate stop {a!r} in {self.admission_id!r}")
 
+    @classmethod
+    def _unchecked(cls, admission_id: str, stops: tuple[str, ...], times: tuple[datetime, ...]) -> AdmissionJourney:
+        """A journey whose caller guarantees what __post_init__ checks; the ingest builds them sorted and merged."""
+        journey = object.__new__(cls)
+        # attribute by attribute, as the dataclass __init__ sets them: touching
+        # __dict__ would give every journey a dict of its own, about 140 bytes more
+        object.__setattr__(journey, "admission_id", admission_id)
+        object.__setattr__(journey, "stops", stops)
+        object.__setattr__(journey, "times", times)
+        return journey
+
 
 @dataclass(frozen=True)
 class LogSchema:
@@ -57,6 +68,15 @@ class LogSchema:
     timestamp_column: str = "timestamp"
     delimiter: str = ","
     timestamp_format: str | None = None  # None means ISO-8601
+
+    def __post_init__(self):
+        _check_delimiter(self.delimiter)
+
+
+def _check_delimiter(delimiter: str) -> None:
+    """csv takes a one-character delimiter only, and says so with a TypeError."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
 
 
 @dataclass
@@ -198,7 +218,7 @@ def reconstruct_journeys(events: Iterable[LocationEvent]) -> list[AdmissionJourn
         if not all(map(operator.ne, locations[1:], locations)):
             keep = _first_of_runs(locations)
             locations, timestamps = tuple(compress(locations, keep)), tuple(compress(timestamps, keep))
-        journeys.append(AdmissionJourney(admission_id, locations, timestamps))
+        journeys.append(AdmissionJourney._unchecked(admission_id, locations, timestamps))
     return journeys
 
 
@@ -213,8 +233,8 @@ def apply_category_map(journeys: Iterable[AdmissionJourney], category_map: Categ
     for journey in journeys:
         labels = list(map(label_of, journey.stops))
         keep = _first_of_runs(labels)
-        mapped.append(AdmissionJourney(journey.admission_id, tuple(compress(labels, keep)),
-                                       tuple(compress(journey.times, keep))))
+        mapped.append(AdmissionJourney._unchecked(journey.admission_id, tuple(compress(labels, keep)),
+                                                  tuple(compress(journey.times, keep))))
     return mapped
 
 
@@ -224,6 +244,7 @@ def read_category_map(source: IO | str, default_policy: str = KEEP_AS_IS, delimi
     A location listed again with the same category is accepted; with another
     category it is a ValueError.
     """
+    _check_delimiter(delimiter)
     entries: dict[str, str] = {}
     with _text_stream(source) as stream:
         for i, row in enumerate(csv.reader(stream, delimiter=delimiter)):

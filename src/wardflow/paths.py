@@ -3,16 +3,23 @@
 The core numbers the sorted node labels 0..n-1 and keeps the binary
 out-adjacency as CSR together with its transpose. Searches run level by
 level from a batch of sources at once and never form an n x n matrix:
-a batch of `width` sources takes O(width * (n + m)) memory, and
-BATCH_CELLS caps width * (n + m).
+a batch of `width` sources takes O(width * (n + m)) memory, and one
+budget, BATCH_CELLS, sets both engines' widths.
 
 - `distance_counts` needs reach sets only. It keeps one bit per (node,
   source) pair, so a level is a gather along the in-edges and a bitwise or.
+  Its batches hold width * (n + m) <= BATCH_CELLS cells: wide, since a
+  level costs the same per 64-bit word whatever its frontier.
 - `betweenness` also needs shortest-path counts (Brandes 2001, J. Math.
   Sociol. 25:163). `_Batch` pushes counts forward and dependencies back,
   edge by edge while the frontier is small and as one sparse-matrix x
   dense-block product once it is large, so a level costs what its frontier
-  costs and long chains stay cheap.
+  costs and long chains stay cheap. Each cell carries floats and ints, so
+  its batches take BATCH_CELLS >> _NARROWER cells, which also runs faster
+  than wide ones. The batches are split into _GROUPS contiguous groups, one
+  `pool.map_tasks` task each: a task sums its batches in order, and the
+  caller sums the groups in order, so the result has the same bits for any
+  number of workers and the caller holds at most _GROUPS x n floats.
 """
 from __future__ import annotations
 
@@ -24,6 +31,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .network import TransferNetwork
+from .pool import map_tasks
 
 
 class GraphCore:
@@ -93,21 +101,17 @@ class GraphCore:
 
 # cap on width * (n + m) for a batch of `width` sources
 BATCH_CELLS = 1 << 22
+# a betweenness batch takes BATCH_CELLS >> _NARROWER cells
+_NARROWER = 4
+# betweenness folds its batches in this many contiguous groups, whatever the CPU count
+_GROUPS = 16
 # a frontier with more than width * (n + m) / DENSE_RATIO edges takes the block product
 DENSE_RATIO = 16
 
 
-def _width(core: GraphCore) -> int:
-    """Sources per batch."""
-    return max(1, min(core.n, BATCH_CELLS // max(1, core.n + core.out.nnz)))
-
-
-def _batches(core: GraphCore) -> Iterator[_Batch]:
-    """Consecutive batches of sources; they share one order array, so one batch is live at a time."""
-    width = _width(core)
-    order = np.empty(core.n * width, dtype=np.int32)
-    for start in range(0, core.n, width):
-        yield _Batch(core, np.arange(start, min(core.n, start + width)), order)
+def _width(core: GraphCore, cells: int) -> int:
+    """Sources per batch of at most `cells` cells."""
+    return max(1, min(core.n, cells // max(1, core.n + core.out.nnz)))
 
 
 class _Batch:
@@ -181,7 +185,7 @@ def distance_counts(core: GraphCore) -> list[int]:
     in-edges and a bitwise or per row.
     """
     n = core.n
-    width = _width(core)
+    width = _width(core, BATCH_CELLS)
     words = -(-width // 64)
     # row n of the frontier stays zero; gathering it last keeps every reduceat start in range
     gather = np.append(core.inc.indices, n)
@@ -211,11 +215,27 @@ def distance_counts(core: GraphCore) -> list[int]:
 def betweenness(core: GraphCore) -> np.ndarray:
     """Normalized directed betweenness, 1/((n-1)(n-2)) scaling, of every node."""
     n = core.n
+    width = _width(core, BATCH_CELLS >> _NARROWER)
+    starts = range(0, n, width)
+    groups = max(1, min(_GROUPS, len(starts)))
+    bounds = [len(starts) * k // groups for k in range(groups + 1)]
     total = np.zeros(n)
-    for batch in _batches(core):
-        total += _dependencies(batch)
+    for part in map_tasks(_group_dependencies, (core, width), [starts[a:b] for a, b in zip(bounds, bounds[1:])]):
+        total += part
     if n > 2:
         total *= 1 / ((n - 1) * (n - 2))
+    return total
+
+
+def _group_dependencies(core: GraphCore, width: int, starts: range) -> np.ndarray:
+    """The dependencies of the batches that start at `starts`, summed in order.
+
+    The batches share one order array, so one batch is live at a time.
+    """
+    total = np.zeros(core.n)
+    order = np.empty(core.n * width, dtype=np.int32)
+    for start in starts:
+        total += _dependencies(_Batch(core, np.arange(start, min(core.n, start + width)), order))
     return total
 
 

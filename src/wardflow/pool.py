@@ -1,8 +1,9 @@
 """Independent tasks across forked worker processes, or serially in this one.
 
-The small-world ensemble members and the tail bootstrap's replicate blocks
-run here. Every task draws from its own seed, so the results do not depend
-on how many workers run them.
+The small-world ensemble members, the tail bootstrap's replicate blocks and
+the betweenness source groups run here. Every task draws from its own seed
+or sums a fixed share of the work, so the results do not depend on how
+many workers run them.
 """
 from __future__ import annotations
 

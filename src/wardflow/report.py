@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
@@ -106,6 +107,10 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
         raise ValueError(f"boot must be >= 0 (0 skips the bootstrap), got {boot}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    # the report echoes these in its config, and JSON has no nan or infinity
+    for name, value in (("quantile", quantile), ("role_threshold_sd", role_threshold_sd), ("attack_step", attack_step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
 
     directed = as_symmetric_directed(net)
     report: dict[str, Any] = {

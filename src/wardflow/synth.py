@@ -100,6 +100,8 @@ def generate_event_log(net: TransferNetwork, n_journeys: int,
     randomness derives from (seed, journey index), so generation order and
     parallelism cannot change the output.
     """
+    if n_journeys < 0:
+        raise ValueError(f"n_journeys must be >= 0, got {n_journeys}")
     if net.edge_count < 1:
         raise ValueError("network needs at least one edge")
     if length_sampler is None:

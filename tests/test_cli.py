@@ -157,6 +157,24 @@ def test_negative_seed_is_usage_error(log_file, capsys, command):
     assert "seed must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize("flag, name, value", [("--quantile", "quantile", "nan"),
+                                              ("--role-threshold-sd", "role_threshold_sd", "inf"),
+                                              ("--attack-step", "attack_step", "nan")])
+def test_analyze_non_finite_float_option_is_usage_error(log_file, capsys, flag, name, value):
+    code, out, err = run(capsys, *analyze_args(log_file, flag, value))
+    assert code == 1 and out == ""
+    assert f"{name} must be a finite number, got {value}" in err
+
+
+@pytest.mark.parametrize("command", [["build", "{log}"], ["analyze", "{log}", "--from-log"]])
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_delimiter_of_other_than_one_character_is_usage_error(log_file, capsys, command, delimiter):
+    argv = [token.format(log=log_file) for token in command]
+    code, out, err = run(capsys, *argv, f"--delimiter={delimiter}")
+    assert code == 1 and out == ""
+    assert f"argument --delimiter: delimiter must be one character, got {delimiter!r}" in err
+
+
 def test_analyze_negative_role_threshold_is_a_section_failure(log_file, capsys):
     code, out, _ = run(capsys, *analyze_args(log_file, "--role-threshold-sd", "-1", "--skip", "small_world"))
     assert code == 0
@@ -248,6 +266,12 @@ def test_synth_invalid_model_params_exit_two(capsys):
     code, _, err = run(capsys, "synth", "--model", "ws", "--n", "10", "--k", "3",
                        "--p", "0.1", "--journeys", "5")
     assert code == 2
+
+
+def test_synth_negative_journey_count_exit_two(capsys):
+    code, out, err = run(capsys, "synth", "--model", "er", "--n", "5", "--p", "0.5", "--journeys", "-1")
+    assert code == 2 and out == ""
+    assert "n_journeys must be >= 0, got -1" in err
 
 
 def test_export_graphml_to_dot(log_file, tmp_path, capsys):

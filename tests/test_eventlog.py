@@ -155,6 +155,26 @@ def test_category_map_rejects_empty_category():
         CategoryMap({"ward1": " "})
 
 
+@pytest.mark.parametrize("stops, times, message", [
+    ((), (), "journey needs matching, non-empty stops and times"),
+    (("ED", "CT"), (ts(0),), "journey needs matching, non-empty stops and times"),
+    (("ED", "CT"), (ts(10), ts(0)), "times not non-decreasing in 'a1'"),
+    (("ED", "CT", "CT"), (ts(0), ts(1), ts(2)), "consecutive duplicate stop 'CT' in 'a1'"),
+])
+def test_a_directly_built_journey_is_checked(stops, times, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AdmissionJourney("a1", stops, times)
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_a_delimiter_of_other_than_one_character_is_a_value_error(delimiter):
+    message = f"^delimiter must be one character, got {delimiter!r}$"
+    with pytest.raises(ValueError, match=message):
+        LogSchema(delimiter=delimiter)
+    with pytest.raises(ValueError, match=message):
+        read_category_map(io.StringIO("ward1;medical\n"), delimiter=delimiter)
+
+
 def test_read_category_map_skips_header():
     cmap = read_category_map(io.StringIO("location,category\nward1,medical\nward2,surgical\n"))
     assert cmap.entries == {"ward1": "medical", "ward2": "surgical"}

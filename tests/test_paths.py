@@ -9,10 +9,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from oracles import brute_betweenness
-from wardflow import paths
+from wardflow import paths, pool
 from wardflow.metrics import DIRECTED_SCOPE, PROJECTION_SCOPE, avg_shortest_path, betweenness
 from wardflow.network import TransferNetwork
 from wardflow.resilience import attack
+from wardflow.synth import ModelSpec, generate_network
 
 # cells per batch: one source per batch, a few, and all at once; and a
 # dense ratio of 0 (edge by edge) or huge (block products at every level)
@@ -152,3 +153,23 @@ def test_unweighted_paths_stay_below_a_quarter_of_a_dense_matrix():
     result, peak = _peak_bytes(lambda: attack(net, "random", seed=1, step_fraction=1.0))
     assert result.steps[0].efficiency > 0.0
     assert peak < bound
+
+
+def test_betweenness_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    core = generate_network(ModelSpec("preferential-attachment", n=300, m=2, seed=4)).core
+    wide = paths.betweenness(core)
+    monkeypatch.setattr(paths, "BATCH_CELLS", 1 << 16)  # batches of 2 sources, in 16 groups
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(pool, "_worker_count", lambda tasks, workers=workers: min(workers, tasks))
+        results.append(paths.betweenness(core))
+    assert all(result.tobytes() == results[0].tobytes() for result in results)
+    np.testing.assert_allclose(results[0], wide, rtol=1e-12, atol=1e-15)
+
+
+def test_serial_betweenness_of_2000_nodes_stays_below_16_mb(monkeypatch):
+    core = generate_network(ModelSpec("preferential-attachment", n=2000, m=2, seed=1)).core
+    monkeypatch.setattr(pool, "_worker_count", lambda tasks: 1)
+    scores, peak = _peak_bytes(lambda: paths.betweenness(core))
+    assert scores.shape == (2000,) and scores.max() > 0
+    assert peak < 16 * 2**20
