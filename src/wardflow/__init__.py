@@ -1,7 +1,7 @@
 """Transfer-network analysis for patient location event logs.
 
 Parsing, network building and the network file formats use the standard
-library only. The modules that need numpy, scipy or networkx are registered
+library only. The modules that need numpy or scipy are registered
 lazily: `wardflow.metrics` and the other analysis layers are in
 `sys.modules` from the package import on, and each runs the first time one
 of its attributes is read. So a command loads only what it uses, while code

@@ -2,8 +2,8 @@
 
 Each command loads what it runs: the analysis modules and `synth` are
 registered lazily by the package, so numpy and scipy load when `analyze`
-first calls into them, networkx only for `synth` and weighted betweenness,
-and `--version`, `build` and `export` load none of the three.
+or `synth` first calls into them, and `--version`, `build` and `export`
+load neither.
 """
 from __future__ import annotations
 
@@ -67,6 +67,13 @@ def _delimiter(text: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
+
+
+def _degrees(text: str) -> tuple[int, ...] | None:
+    try:
+        return tuple(int(token) for token in text.split(",") if token) or None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _add_log_options(parser: argparse.ArgumentParser) -> None:
@@ -218,12 +225,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_synth(args) -> int:
     family = _MODEL_FAMILIES[args.model]
-    degrees = None
-    if args.degrees:
-        degrees = tuple(int(token) for token in args.degrees.split(",") if token)
     try:
         spec = synth_mod.ModelSpec(family=family, n=args.n, seed=args.seed, m=args.m, k=args.k,
-                                   p=args.p, degrees=degrees)
+                                   p=args.p, degrees=args.degrees)
         net = synth_mod.generate_network(spec)
         journeys, stats = synth_mod.generate_event_log(
             net, args.journeys, synth_mod.geometric_stop_lengths(args.mean_stops), seed=args.seed
@@ -292,7 +296,7 @@ def _build_parser() -> _Parser:
     synth.add_argument("--m", type=int, default=None)
     synth.add_argument("--k", type=int, default=None)
     synth.add_argument("--p", type=float, default=None)
-    synth.add_argument("--degrees", default=None, help="comma-separated degree sequence")
+    synth.add_argument("--degrees", type=_degrees, default=None, help="comma-separated degree sequence")
     synth.add_argument("--journeys", type=int, required=True)
     synth.add_argument("--mean-stops", type=float, default=14.0)
     synth.add_argument("--seed", type=int, default=0)

@@ -130,20 +130,12 @@ def betweenness(net: TransferNetwork, use_weights: bool = False) -> dict[str, fl
     """Normalized betweenness centrality (Brandes accumulation).
 
     With use_weights, edge length is 1/weight so heavier traffic means a
-    shorter edge (networkx Dijkstra, the only networkx use of `analyze`);
-    the default treats every edge as one hop and runs the batched BFS of
-    `paths`.
+    shorter edge (Dijkstra searches, in networkx's bits); the default treats
+    every edge as one hop and runs the batched BFS of `paths`.
     """
-    if not use_weights:
-        core = net.core
-        return {label: float(b) for label, b in zip(core.labels, paths.betweenness(core))}
-    import networkx as nx
-
-    graph = nx.DiGraph() if net.directed else nx.Graph()
-    graph.add_nodes_from(net.sorted_nodes())
-    graph.add_weighted_edges_from(((u, v, 1.0 / w) for (u, v), w in sorted(net.edges.items())), weight="distance")
-    result = nx.betweenness_centrality(graph, normalized=True, weight="distance")
-    return {node: float(b) for node, b in result.items()}
+    core = net.core
+    scores = paths.weighted_betweenness(core) if use_weights else paths.betweenness(core)
+    return {label: float(b) for label, b in zip(core.labels, scores)}
 
 
 def _pearson(xs: np.ndarray, ys: np.ndarray) -> float | None:

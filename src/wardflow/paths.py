@@ -1,4 +1,4 @@
-"""A network's indexed `GraphCore`, and batched breadth-first searches for unweighted paths on it.
+"""A network's indexed `GraphCore`, batched breadth-first searches for unweighted paths on it, and weighted betweenness.
 
 The core numbers the sorted node labels 0..n-1 and keeps the binary
 out-adjacency as CSR together with its transpose. Searches run level by
@@ -24,6 +24,7 @@ budget, BATCH_CELLS, sets both engines' widths.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from typing import Iterator, Sequence
 
@@ -262,3 +263,53 @@ def _dependencies(batch: _Batch) -> np.ndarray:
         delta = before_paths * sums
         end = start
     return total
+
+
+def weighted_betweenness(core: GraphCore) -> list[float]:
+    """Normalized betweenness of every node with edge length 1/weight, so heavier traffic is shorter.
+
+    networkx's weighted `betweenness_centrality` operation for operation, so each score has
+    its bits: heap entries (distance, push count, predecessor, node), neighbours in CSR order
+    (networkx's for edges added sorted), ties by ==, dependencies in reverse settling order.
+    """
+    n = core.n
+    indptr = core.weighted.indptr.tolist()
+    indices = core.weighted.indices.tolist()
+    lengths = [1.0 / w for w in core.weighted.data.tolist()]
+    score = [0.0] * n
+    for s in range(n):
+        preds: dict[int, list[int]] = {s: []}
+        sigma = [0.0] * n
+        sigma[s] = 1.0
+        settled = [False] * n
+        seen: dict[int, float] = {s: 0}
+        order = []
+        push = itertools.count()
+        heap = [(0, next(push), s, s)]
+        while heap:
+            dist, _, pred, v = heapq.heappop(heap)
+            if settled[v]:
+                continue
+            sigma[v] += sigma[pred]  # the source adds itself: every count doubles, as in networkx
+            order.append(v)
+            settled[v] = True
+            for i in range(indptr[v], indptr[v + 1]):
+                w = indices[i]
+                length = dist + lengths[i]
+                if not settled[w] and (w not in seen or length < seen[w]):
+                    seen[w] = length
+                    heapq.heappush(heap, (length, next(push), v, w))
+                    sigma[w] = 0.0
+                    preds[w] = [v]
+                elif length == seen[w]:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(order):
+            coeff = (1 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                score[w] += delta[w]
+    scale = 1 / ((n - 1) * (n - 2)) if n > 2 else 1.0
+    return [b * scale for b in score]

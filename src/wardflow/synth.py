@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import math
+import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import IO, Callable
 
-import networkx as nx
 import numpy as np
 
 from .eventlog import AdmissionJourney, LogSchema
@@ -60,20 +62,60 @@ def node_label(i: int, n: int) -> str:
 
 
 def generate_network(spec: ModelSpec) -> TransferNetwork:
-    """Standard undirected constructions, deterministic per seed, unit weights."""
+    """Standard undirected constructions, deterministic per seed, unit weights.
+
+    Each family replays networkx 3.x (`barabasi_albert_graph`, `watts_strogatz_graph`,
+    `gnp_random_graph`, `configuration_model` collapsed to a simple graph) draw for draw
+    on `random.Random(seed)`; `adj` holds insertion-ordered neighbours as networkx's
+    adjacency does, so a seed gives networkx's edges in its order.
+    """
+    n, rng = spec.n, random.Random(spec.seed)
+    adj: list[dict[int, None]] = [{} for _ in range(n)]
+
+    def link(u: int, v: int) -> None:
+        adj[u][v] = adj[v][u] = None
+
     if spec.family == PREFERENTIAL_ATTACHMENT:
-        graph = nx.barabasi_albert_graph(spec.n, spec.m, seed=spec.seed)
+        for v in range(1, spec.m + 1):  # the star 0-1..m
+            link(0, v)
+        # each node once per edge end, so a uniform pick prefers high degree
+        repeated = [0] * spec.m + list(range(1, spec.m + 1))
+        for source in range(spec.m + 1, n):
+            targets: set[int] = set()  # filled and iterated as networkx's `_random_subset` set is
+            while len(targets) < spec.m:
+                targets.add(rng.choice(repeated))
+            for target in targets:
+                link(source, target)
+            repeated.extend([*targets] + [source] * spec.m)
     elif spec.family == RING_REWIRE:
-        graph = nx.watts_strogatz_graph(spec.n, spec.k, spec.p, seed=spec.seed)
+        ring = [(u, (u + j) % n) for j in range(1, spec.k // 2 + 1) for u in range(n)]
+        for u, v in ring:
+            link(u, v)
+        nodes = list(range(n))
+        for u, v in ring:
+            if rng.random() < spec.p:
+                w = rng.choice(nodes)
+                while w == u or w in adj[u]:
+                    w = rng.choice(nodes)
+                    if len(adj[u]) >= n - 1:
+                        break  # u links to every other node: skip this rewiring
+                else:
+                    del adj[u][v], adj[v][u]
+                    link(u, w)
     elif spec.family == UNIFORM_RANDOM:
-        graph = nx.gnp_random_graph(spec.n, spec.p, seed=spec.seed)
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < spec.p:
+                link(u, v)
     else:
-        multigraph = nx.configuration_model(list(spec.degrees), seed=spec.seed)
-        graph = nx.Graph(multigraph)  # collapse parallel edges
-        graph.remove_edges_from(nx.selfloop_edges(graph))
-    labels = {i: node_label(i, spec.n) for i in graph.nodes}
-    edges = {tuple(sorted((labels[i], labels[j]))): 1 for i, j in graph.edges}
-    return TransferNetwork(frozenset(labels.values()), edges, directed=False)
+        stubs = [node for node, degree in enumerate(spec.degrees) for _ in range(degree)]
+        rng.shuffle(stubs)
+        half = len(stubs) // 2
+        # a repeated pair keeps its first place; `v > u` below drops self-loops
+        for u, v in zip(stubs[:half], stubs[half:]):
+            link(u, v)
+    labels = [node_label(i, n) for i in range(n)]
+    edges = {(labels[u], labels[v]): 1 for u in range(n) for v in adj[u] if v > u}
+    return TransferNetwork(frozenset(labels), edges, directed=False)
 
 
 @dataclass
@@ -83,8 +125,8 @@ class WalkStats:
 
 def geometric_stop_lengths(mean: float = 14.0, minimum: int = 2) -> Callable[[np.random.Generator], int]:
     """Journey-length sampler: geometric stop counts with the given mean."""
-    if mean <= minimum - 1:
-        raise ValueError("mean must exceed minimum - 1")
+    if not minimum - 1 < mean < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"mean must be a finite number above minimum - 1, got {mean}")
     p = 1.0 / (mean - (minimum - 1))
     return lambda rng: (minimum - 1) + int(rng.geometric(p))
 

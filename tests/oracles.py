@@ -3,9 +3,9 @@
 Everything here works on plain edge dictionaries with explicit loops, BFS
 via deque, and exhaustive path enumeration, so the main implementations
 (numpy / scipy backed) are checked against a genuinely different route.
-The earlier ingest, the networkx GraphML path and the one-replicate-at-a-time
-tail bootstrap are kept at the end as the references their replacements must
-agree with.
+The earlier ingest, the networkx GraphML path, the one-replicate-at-a-time
+tail bootstrap, and the networkx generators and weighted betweenness are kept
+at the end as the references their replacements must agree with.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import numpy as np
 from wardflow.eventlog import CategoryMap, IngestStats, LogSchema, SchemaError
 from wardflow.network import TransferNetwork
 from wardflow.powerlaw import FIXED, PowerLawFit, _prepare, _replicate_rng, fit_tail, sample_tail
+from wardflow.synth import CONFIGURATION, PREFERENTIAL_ATTACHMENT, RING_REWIRE, ModelSpec, node_label
 
 
 def random_directed_network(rng: np.random.Generator, max_nodes: int = 7) -> TransferNetwork:
@@ -480,3 +481,32 @@ def ref_bootstrap_ci(samples, n_boot: int, seed: int, level: float = 0.95,
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(np.asarray(gammas), [alpha, 1.0 - alpha])
     return min(float(lo), reference.gamma), max(float(hi), reference.gamma)
+
+
+# The networkx calls `wardflow.synth.generate_network` and weighted
+# `wardflow.metrics.betweenness` made before they replayed them; each must
+# give these nodes, edges in this order, and scores with these bits.
+
+
+def networkx_generate_network(spec: ModelSpec) -> TransferNetwork:
+    if spec.family == PREFERENTIAL_ATTACHMENT:
+        graph = nx.barabasi_albert_graph(spec.n, spec.m, seed=spec.seed)
+    elif spec.family == RING_REWIRE:
+        graph = nx.watts_strogatz_graph(spec.n, spec.k, spec.p, seed=spec.seed)
+    elif spec.family == CONFIGURATION:
+        graph = nx.Graph(nx.configuration_model(list(spec.degrees), seed=spec.seed))  # collapse parallel edges
+        graph.remove_edges_from(nx.selfloop_edges(graph))
+    else:
+        graph = nx.gnp_random_graph(spec.n, spec.p, seed=spec.seed)
+    labels = {i: node_label(i, spec.n) for i in graph.nodes}
+    edges = {tuple(sorted((labels[i], labels[j]))): 1 for i, j in graph.edges}
+    return TransferNetwork(frozenset(labels.values()), edges, directed=False)
+
+
+def networkx_weighted_betweenness(net: TransferNetwork) -> dict[str, float]:
+    """Normalized betweenness with edge length 1/weight, nodes in label order."""
+    graph = nx.DiGraph() if net.directed else nx.Graph()
+    graph.add_nodes_from(net.sorted_nodes())
+    graph.add_weighted_edges_from(((u, v, 1.0 / w) for (u, v), w in sorted(net.edges.items())), weight="distance")
+    result = nx.betweenness_centrality(graph, normalized=True, weight="distance")
+    return {node: float(b) for node, b in result.items()}

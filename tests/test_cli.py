@@ -274,6 +274,21 @@ def test_synth_negative_journey_count_exit_two(capsys):
     assert "n_journeys must be >= 0, got -1" in err
 
 
+def test_synth_degrees_that_are_not_integers_are_a_usage_error(capsys):
+    code, out, err = run(capsys, "synth", "--model", "config", "--n", "3", "--degrees", "1,x,1", "--journeys", "5")
+    assert code == 1 and out == ""
+    assert "argument --degrees: expected comma-separated integers, got '1,x,1'" in err
+
+
+@pytest.mark.parametrize("journeys", ["0", "5"])
+@pytest.mark.parametrize("mean", ["nan", "inf"])
+def test_synth_non_finite_mean_stops_exit_two(capsys, mean, journeys):
+    code, out, err = run(capsys, "synth", "--model", "er", "--n", "5", "--p", "0.5",
+                         "--journeys", journeys, "--mean-stops", mean)
+    assert code == 2 and out == ""
+    assert f"error: mean must be a finite number above minimum - 1, got {mean}" in err
+
+
 def test_export_graphml_to_dot(log_file, tmp_path, capsys):
     net_file = tmp_path / "net.graphml"
     assert run(capsys, "build", log_file, "-o", net_file)[0] == 0

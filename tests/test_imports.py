@@ -10,6 +10,7 @@ import pytest
 import wardflow
 
 SRC = str(Path(wardflow.__file__).resolve().parent.parent)
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 HEAVY = ("numpy", "scipy", "networkx")
 # the worker pool's packages, which only analyze needs
 POOL = ("multiprocessing", "concurrent")
@@ -34,11 +35,10 @@ def loaded(tmp_path_factory):
     """The packages of `watch` (the heavy ones by default) a fresh process loaded for a command (argv)."""
     work = tmp_path_factory.mktemp("imports")
     (work / "log.csv").write_text(LOG)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
     def run(*argv, watch=HEAVY):
         out = work / "modules.json"
-        subprocess.run([sys.executable, "-c", PROBE, str(out), *argv], cwd=work, env=env,
+        subprocess.run([sys.executable, "-c", PROBE, str(out), *argv], cwd=work, env=ENV,
                        check=True, capture_output=True, timeout=300)
         return {name for name in json.loads(out.read_text()) if name in watch}
 
@@ -57,8 +57,41 @@ def test_build_loads_no_numeric_or_graph_package(loaded, fmt):
 ANALYZE = ("--boot", "5", "--sw-samples", "1", "--sw-lattice-swaps", "200")
 
 
-def test_analyze_loads_networkx_only_for_weighted_betweenness(loaded):
+def test_analyze_loads_numpy_and_scipy_only(loaded):
     assert loaded("build", "log.csv", "-o", "net.graphml") == set()
     assert loaded("analyze", "net.graphml", *ANALYZE) == {"numpy", "scipy"}
     assert loaded("analyze", "log.csv", "--from-log", *ANALYZE) == {"numpy", "scipy"}
-    assert loaded("analyze", "net.graphml", "--weighted-betweenness", *ANALYZE) == set(HEAVY)
+    assert loaded("analyze", "net.graphml", "--weighted-betweenness", *ANALYZE) == {"numpy", "scipy"}
+
+
+SYNTH = ("synth", "--model", "ba", "--n", "30", "--m", "2", "--journeys", "40", "--mean-stops", "5")
+
+
+def test_synth_loads_numpy_and_scipy_only(loaded):
+    assert loaded(*SYNTH, "-o", "synth.csv") == {"numpy", "scipy"}
+
+
+def test_export_loads_no_numeric_or_graph_package(loaded):
+    assert loaded("build", "log.csv", "-o", "export.graphml") == set()
+    assert loaded("export", "export.graphml", "--to", "dot", "-o", "net.dot", watch=HEAVY + POOL) == set()
+
+
+# runs one command with networkx unimportable: `import networkx` raises ImportError
+WITHOUT_NETWORKX = """
+import sys
+sys.modules["networkx"] = None
+from wardflow.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_synth_build_analyze_run_without_networkx(tmp_path):
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", WITHOUT_NETWORKX, *argv], cwd=tmp_path, env=ENV,
+                              check=True, capture_output=True, text=True, timeout=300).stdout
+
+    run(*SYNTH, "-o", "log.csv")
+    run("build", "log.csv", "-o", "net.graphml")
+    report = json.loads(run("analyze", "net.graphml", "--weighted-betweenness", *ANALYZE))
+    assert report["config"]["weighted_betweenness"] is True
+    assert report["node_metrics"] and all("betweenness" in row for row in report["node_metrics"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from oracles import brute_betweenness
+from oracles import brute_betweenness, networkx_weighted_betweenness
 from wardflow import paths, pool
 from wardflow.metrics import DIRECTED_SCOPE, PROJECTION_SCOPE, avg_shortest_path, betweenness
 from wardflow.network import TransferNetwork
@@ -30,6 +30,17 @@ def digraphs(draw, max_nodes=8):
     if draw(st.booleans()):  # symmetric-directed: every edge reciprocated
         chosen |= {(v, u) for u, v in chosen}
     return TransferNetwork(frozenset(labels), {edge: draw(st.integers(1, 4)) for edge in sorted(chosen)})
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Directed and undirected graphs of drawn size and density, weights from {1, 2, 4} so that path lengths tie."""
+    directed = draw(st.booleans())
+    n, density, rng = draw(st.integers(1, 16)), draw(st.floats(0.1, 0.8)), draw(st.randoms(use_true_random=False))
+    labels = [f"v{i:02d}" for i in range(n)]
+    edges = {(u, v): rng.choice((1, 2, 4)) for u in labels for v in labels
+             if (u != v if directed else u < v) and rng.random() < density}
+    return TransferNetwork(frozenset(labels), edges, directed=directed)
 
 
 def _engine(monkeypatch, cells, ratio):
@@ -86,6 +97,12 @@ def test_betweenness_matches_path_enumeration(net, engine):
     assert actual.keys() == expected.keys()
     for node, value in actual.items():
         assert value == pytest.approx(expected[node], abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs())
+def test_weighted_betweenness_has_the_bits_of_networkx(net):
+    assert betweenness(net, use_weights=True) == networkx_weighted_betweenness(net)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,19 +1,65 @@
 import io
+import random
 
 import numpy as np
 import pytest
 
+from oracles import networkx_generate_network
 from wardflow.eventlog import parse_event_log, reconstruct_journeys
 from wardflow.metrics import clustering
 from wardflow.network import build_network, undirected_projection
 from wardflow.powerlaw import analyze_tail
 from wardflow.synth import (
+    CONFIGURATION,
+    PREFERENTIAL_ATTACHMENT,
+    RING_REWIRE,
+    UNIFORM_RANDOM,
     ModelSpec,
     generate_event_log,
     generate_network,
     geometric_stop_lengths,
     write_event_log_csv,
 )
+
+
+def _degree_sequence(seed: int) -> tuple[int, ...]:
+    """Up to 12 degrees of up to 6 with an even sum: loops and repeated pairs are common."""
+    rng = random.Random(seed)
+    degrees = [rng.randint(0, 6) for _ in range(rng.randint(1, 12))]
+    degrees[0] += sum(degrees) % 2
+    return tuple(degrees)
+
+
+# every family at boundary parameters (m = n - 1, k = n - 1, p = 0 and 1,
+# a single node) and at a few sizes and seeds; 319 specs in all
+ORACLE_GRID = {
+    PREFERENTIAL_ATTACHMENT: [ModelSpec(PREFERENTIAL_ATTACHMENT, n=n, m=m, seed=seed)
+                              for n in (2, 3, 5, 8, 13, 40, 200) for m in sorted({1, 2, 3, n - 1}) if m < n
+                              for seed in (0, 1, 7)]
+                             + [ModelSpec(PREFERENTIAL_ATTACHMENT, n=2000, m=2, seed=101)],
+    RING_REWIRE: [ModelSpec(RING_REWIRE, n=n, k=k, p=p, seed=seed)
+                  for n in (3, 4, 7, 12, 30) for k in range(2, min(n, 11), 2)
+                  for p in (0.0, 0.2, 0.7, 1.0) for seed in (0, 3)],
+    UNIFORM_RANDOM: [ModelSpec(UNIFORM_RANDOM, n=n, p=p, seed=seed)
+                     for n in (1, 2, 5, 17, 60) for p in (0.0, 0.05, 0.3, 0.8, 1.0) for seed in (0, 5)],
+    CONFIGURATION: [ModelSpec(CONFIGURATION, n=len(degrees), degrees=degrees, seed=seed)
+                    for seed in range(79) for degrees in [_degree_sequence(seed)]],
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_GRID))
+def test_generators_replay_networkx(family):
+    for spec in ORACLE_GRID[family]:
+        net, expected = generate_network(spec), networkx_generate_network(spec)
+        assert net.nodes == expected.nodes, spec
+        assert list(net.edges.items()) == list(expected.edges.items()), spec
+
+
+def test_configuration_grid_collapses_loops_and_repeated_pairs():
+    # a shuffle that pairs stubs into a loop or a repeated pair leaves fewer than half the stubs as edges
+    collapsed = [spec for spec in ORACLE_GRID[CONFIGURATION]
+                 if generate_network(spec).edge_count < sum(spec.degrees) // 2]
+    assert len(collapsed) >= 20
 
 
 def test_spec_validation_messages():
@@ -112,6 +158,12 @@ def test_geometric_length_sampler_bounds_and_mean():
     assert np.mean(draws) == pytest.approx(14.0, rel=0.05)
     with pytest.raises(ValueError):
         geometric_stop_lengths(mean=1.0, minimum=2)
+
+
+@pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+def test_geometric_length_sampler_rejects_a_non_finite_mean(mean):
+    with pytest.raises(ValueError, match=f"mean must be a finite number above minimum - 1, got {mean}"):
+        geometric_stop_lengths(mean=mean)
 
 
 def test_csv_emission_reingests_cleanly():
