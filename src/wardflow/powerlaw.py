@@ -37,6 +37,10 @@ _DENSE_CAP = 8192
 _CANDIDATE_CHUNK = 256
 _TABLE_FLOOR = 1e-6
 _TABLE_CAP = 1 << 21
+_INT64_MAX = np.iinfo(np.int64).max
+# the bootstrap interval's coverage and the studentized residual beyond which a regression flags an outlier
+_CI_LEVEL = 0.95
+_OUTLIER_THRESHOLD = 2.0
 # a batched fit runs one golden section per group of samples holding this many xmin candidates
 _GROUP_CANDIDATES = 1 << 16
 # Below this many drawn values (replicates × sample size) the bootstrap runs in
@@ -321,14 +325,15 @@ def _draw_tail(gamma: float, xmin: int, table: tuple[float, np.ndarray], size: i
 def _bisect_tail(gamma: float, start: int, norm: float, w: np.ndarray) -> np.ndarray:
     lo = np.full(len(w), start, dtype=np.int64)
     hi = lo.copy()
-    for _ in range(64):
-        ccdf = hurwitz_zeta(gamma, hi + 1.0) / norm
-        grow = ccdf > w
+    while True:
+        grow = hurwitz_zeta(gamma, hi + 1.0) / norm > w
         if not grow.any():
             break
-        hi[grow] = hi[grow] * 2 + 1
+        if (hi[grow] == _INT64_MAX).any():
+            raise ValueError(f"a power-law draw with gamma={gamma} exceeds the int64 range")
+        hi[grow] = np.minimum(hi[grow], _INT64_MAX // 2) * 2 + 1  # (MAX // 2) * 2 + 1 == MAX: saturates, never wraps
     while np.any(hi > lo):
-        mid = (lo + hi) // 2
+        mid = lo + (hi - lo) // 2  # (lo + hi) // 2 without overflow
         go_up = hurwitz_zeta(gamma, mid + 1.0) / norm > w
         lo = np.where(go_up, mid + 1, lo)
         hi = np.where(go_up, hi, mid)
@@ -403,28 +408,26 @@ def _ci_block(x: np.ndarray, xmin: int | None, seed: int, block: range) -> list[
     return [None if isinstance(refit, ValueError) else refit.gamma for refit in _fit_tails(replicates, xmin)]
 
 
-def bootstrap_ci(samples: Iterable[int], n_boot: int, seed: int, level: float = 0.95,
-                 xmin: int | None = None) -> tuple[float, float]:
-    """Nonparametric percentile interval for gamma under resample-and-refit."""
+def bootstrap_ci(samples: Iterable[int], n_boot: int, seed: int, xmin: int | None = None) -> tuple[float, float]:
+    """Nonparametric 95% percentile interval for gamma under resample-and-refit."""
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     x = _prepare(samples)
-    return _bootstrap_ci(x, fit_tail(x, xmin=xmin), n_boot, seed, level)
+    return _bootstrap_ci(x, fit_tail(x, xmin=xmin), n_boot, seed)
 
 
-def _bootstrap_ci(x: np.ndarray, reference: PowerLawFit, n_boot: int, seed: int,
-                  level: float) -> tuple[float, float]:
+def _bootstrap_ci(x: np.ndarray, reference: PowerLawFit, n_boot: int, seed: int) -> tuple[float, float]:
     """`bootstrap_ci` of the prepared sample x, whose fit `reference` already is."""
     refits = _replicate_blocks(_ci_block, (x, _refit_xmin(reference), seed), n_boot, len(x))
     gammas = [gamma for gamma in refits if gamma is not None]
     _check_failures(n_boot - len(gammas), n_boot)
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - _CI_LEVEL) / 2.0
     lo, hi = np.quantile(np.asarray(gammas), [alpha, 1.0 - alpha])
     # the interval always brackets the point estimate
     return min(float(lo), reference.gamma), max(float(hi), reference.gamma)
 
 
-def analyze_tail(samples: Iterable[int], n_boot: int, seed: int, level: float = 0.95) -> PowerLawFit:
+def analyze_tail(samples: Iterable[int], n_boot: int, seed: int) -> PowerLawFit:
     """Scan-fit the tail and, when n_boot > 0, attach p-value and CI; n_boot = 0 skips them."""
     import dataclasses
 
@@ -435,12 +438,11 @@ def analyze_tail(samples: Iterable[int], n_boot: int, seed: int, level: float = 
     if n_boot == 0:
         return dataclasses.replace(fit, seed=seed)
     p = gof_pvalue(fit, x, n_boot, seed)
-    lo, hi = _bootstrap_ci(x, fit, n_boot, seed, level)
+    lo, hi = _bootstrap_ci(x, fit, n_boot, seed)
     return dataclasses.replace(fit, p_value=p, ci_low=lo, ci_high=hi, n_bootstrap=n_boot, seed=seed)
 
 
-def _ols_outliers(design: np.ndarray, y: np.ndarray, labels: list[str],
-                  threshold: float) -> tuple[np.ndarray, float, tuple[Outlier, ...]]:
+def _ols_outliers(design: np.ndarray, y: np.ndarray, labels: list[str]) -> tuple[np.ndarray, float, tuple[Outlier, ...]]:
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     dof = len(y) - design.shape[1]
@@ -457,13 +459,13 @@ def _ols_outliers(design: np.ndarray, y: np.ndarray, labels: list[str],
     flagged = [
         Outlier(labels[i], float(studentized[i]))
         for i in range(len(labels))
-        if abs(studentized[i]) > threshold
+        if abs(studentized[i]) > _OUTLIER_THRESHOLD
     ]
     flagged.sort(key=lambda item: (-abs(item[1]), item[0]))
     return coef, sigma, tuple(flagged)
 
 
-def fit_strength_degree(net: TransferNetwork, threshold: float = 2.0) -> RegressionFit:
+def fit_strength_degree(net: TransferNetwork) -> RegressionFit:
     """OLS of ln(strength) on ln(degree); the slope is the growth exponent.
 
     The baseline records the mean edge weight, i.e. the strength a node
@@ -480,13 +482,13 @@ def fit_strength_degree(net: TransferNetwork, threshold: float = 2.0) -> Regress
     k = degree[linked].astype(float)
     s = strength[linked].astype(float)
     design = np.column_stack([np.log(k), np.ones(len(k))])
-    coef, sigma, outliers = _ols_outliers(design, np.log(s), labels, threshold)
+    coef, sigma, outliers = _ols_outliers(design, np.log(s), labels)
     baseline = net.total_weight / net.edge_count
     return RegressionFit(STRENGTH_DEGREE, (float(coef[0]), float(coef[1])), baseline,
-                         sigma, threshold, outliers)
+                         sigma, _OUTLIER_THRESHOLD, outliers)
 
 
-def fit_betweenness_degree(node_metrics: Mapping[str, NodeMetrics], threshold: float = 2.0) -> RegressionFit:
+def fit_betweenness_degree(node_metrics: Mapping[str, NodeMetrics]) -> RegressionFit:
     """Quadratic fit of betweenness on degree with studentized outlier flags.
 
     Positive residuals mark nodes with more betweenness than their degree
@@ -500,18 +502,18 @@ def fit_betweenness_degree(node_metrics: Mapping[str, NodeMetrics], threshold: f
     design = np.column_stack([k**2, k, np.ones(len(k))])
     if np.linalg.matrix_rank(design) < 3:
         raise ValueError("rank-deficient design: degrees span fewer than 3 values")
-    coef, sigma, outliers = _ols_outliers(design, b, labels, threshold)
+    coef, sigma, outliers = _ols_outliers(design, b, labels)
     return RegressionFit(BETWEENNESS_DEGREE, tuple(float(c) for c in coef), None,
-                         sigma, threshold, outliers)
+                         sigma, _OUTLIER_THRESHOLD, outliers)
 
 
-def fit_knn_degree(net: TransferNetwork, threshold: float = 2.0) -> RegressionFit:
+def fit_knn_degree(net: TransferNetwork) -> RegressionFit:
     """Linear fit through the k_nn(k) curve points of `metrics.knn(net)`."""
     _, curve = metrics_mod.knn(net)
-    return fit_knn_curve(curve, threshold)
+    return fit_knn_curve(curve)
 
 
-def fit_knn_curve(curve: Mapping[int, float], threshold: float = 2.0) -> RegressionFit:
+def fit_knn_curve(curve: Mapping[int, float]) -> RegressionFit:
     """Linear fit through k_nn(k) curve points, degree -> mean k_nn."""
     if len(curve) < 2:
         raise ValueError("need at least 2 distinct degrees in the k_nn curve")
@@ -519,6 +521,6 @@ def fit_knn_curve(curve: Mapping[int, float], threshold: float = 2.0) -> Regress
     k = np.array(list(curve.keys()), dtype=float)
     v = np.array(list(curve.values()), dtype=float)
     design = np.column_stack([k, np.ones(len(k))])
-    coef, sigma, outliers = _ols_outliers(design, v, labels, threshold)
+    coef, sigma, outliers = _ols_outliers(design, v, labels)
     return RegressionFit(KNN_DEGREE, (float(coef[0]), float(coef[1])), None,
-                         sigma, threshold, outliers)
+                         sigma, _OUTLIER_THRESHOLD, outliers)

@@ -80,12 +80,6 @@ def _node_row(metric: metrics_mod.NodeMetrics) -> dict[str, Any]:
     return row
 
 
-def _attack_entry(result: resilience_mod.AttackResult) -> dict[str, Any]:
-    entry = _plain(result)
-    entry["steps"] = entry.pop("steps")  # the seed is written before the steps
-    return entry
-
-
 def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
                  quantile: float = 0.20, role_threshold_sd: float = 2.0,
                  sw_samples: int = 20, sw_swaps: int | None = None,
@@ -215,19 +209,11 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
 
     section("classification", classification_section)
 
-    def resilience_section():
-        out = {}
-        for strategy in sorted(set(attack_strategies)):
-            if strategy == resilience_mod.RANDOM:
-                result = resilience_mod.attack(
-                    directed, strategy, step_fraction=attack_step, seed=derive_seed(seed, _ATTACK_DOMAIN)
-                )
-            else:
-                result = resilience_mod.attack(directed, strategy, step_fraction=attack_step)
-            out[strategy] = _attack_entry(result)
-        return out
-
-    section("resilience", resilience_section)
+    section("resilience", lambda: {
+        strategy: _plain(resilience_mod.attack(directed, strategy, step_fraction=attack_step,
+                                               seed=derive_seed(seed, _ATTACK_DOMAIN)))
+        for strategy in sorted(set(attack_strategies))
+    })
 
     if total > 0 and failures == total:
         report["all_sections_failed"] = True

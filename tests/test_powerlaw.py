@@ -100,6 +100,12 @@ def test_sampler_matches_model_ccdf():
         assert observed == pytest.approx(expected, abs=4e-3)
 
 
+def test_sampler_rejects_a_draw_beyond_int64():
+    # with gamma this close to 1 the draws past the lookup table lie far beyond 2**63
+    with pytest.raises(ValueError, match="gamma=1.000001"):
+        sample_tail(1.000001, 1, 8, np.random.default_rng(1))
+
+
 def test_gof_and_ci_are_deterministic():
     rng = np.random.default_rng(2)
     samples = sample_tail(2.5, 1, 1500, rng)

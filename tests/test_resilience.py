@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wardflow.network import TransferNetwork
-from wardflow.resilience import ADAPTIVE, STATIC, AttackStep, attack, giant_wcc_area
+from wardflow.paths import GraphCore
+from wardflow.resilience import ADAPTIVE, STATIC, AttackResult, AttackStep, attack, giant_wcc_area
 from wardflow.synth import ModelSpec, generate_network
 
 
@@ -66,8 +67,11 @@ def test_random_attack_reproducible_and_seeded():
 
 
 def test_wcc_fraction_non_increasing_under_static_order():
+    # a static degree attack is an explicit order of the intact degree ranking
     net = generate_network(ModelSpec("preferential-attachment", n=60, seed=5, m=2))
-    result = attack(net, "degree", recompute_policy=STATIC, step_fraction=0.1)
+    degree = dict(zip(net.core.labels, net.core.degrees()))
+    order = sorted(degree, key=lambda label: (-degree[label], label))
+    result = attack(net, "explicit", order=order, step_fraction=0.1)
     wcc = [step.wcc_fraction for step in result.steps]
     assert all(b <= a + 1e-12 for a, b in zip(wcc, wcc[1:]))
     assert result.recompute_policy == STATIC
@@ -78,6 +82,37 @@ def test_betweenness_strategy_runs():
     result = attack(net, "betweenness", step_fraction=0.2)
     assert result.strategy == "betweenness-targeted"
     assert result.steps[-1].wcc_fraction == 0.0
+
+
+def test_policy_follows_strategy_and_only_random_records_its_seed():
+    net = cycle(6)
+    for strategy, policy, seed in (("degree", ADAPTIVE, None), ("betweenness", ADAPTIVE, None),
+                                   ("random", STATIC, 4), ("explicit", STATIC, None)):
+        result = attack(net, strategy, step_fraction=0.5, seed=4, order=sorted(net.nodes))
+        assert (result.recompute_policy, result.seed) == (policy, seed)
+
+
+def test_explicit_order_rejects_a_repeated_label():
+    triangle = net_of({("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1})
+    with pytest.raises(ValueError, match=r"repeated nodes in removal order: \['a'\]"):
+        attack(triangle, "explicit", order=["a", "a", "b"], step_fraction=0.34)
+    partial = attack(triangle, "explicit", order=["a", "b"], step_fraction=0.34)
+    assert [step.fraction_removed for step in partial.steps] == [0.0, 1 / 3, 2 / 3]
+
+
+def test_each_step_builds_one_alive_subgraph(monkeypatch):
+    net = generate_network(ModelSpec("preferential-attachment", n=40, seed=4, m=2))
+    builds = []
+    subgraph = GraphCore.subgraph
+
+    def counted(core, members):
+        builds.append(len(members))
+        return subgraph(core, members)
+
+    monkeypatch.setattr(GraphCore, "subgraph", counted)
+    result = attack(net, "degree", step_fraction=0.1)
+    assert len(builds) <= len(result.steps)
+    assert builds[0] == net.node_count
 
 
 def test_attack_validates_inputs():
@@ -110,9 +145,7 @@ def test_all_fractions_stay_in_unit_interval():
 
 def test_giant_wcc_area_of_flat_curve():
     steps = (AttackStep(0.0, 1.0, 1.0, 1.0), AttackStep(0.5, 1.0, 1.0, 1.0), AttackStep(1.0, 1.0, 1.0, 1.0))
-    from wardflow.resilience import AttackResult
-
-    assert giant_wcc_area(AttackResult("x", STATIC, 0.5, steps)) == pytest.approx(1.0)
+    assert giant_wcc_area(AttackResult("x", STATIC, 0.5, None, steps)) == pytest.approx(1.0)
 
 
 # Recorded with the networkx-based ranking: the betweenness attack's removal
@@ -153,7 +186,6 @@ def test_betweenness_attack_matches_recorded_order_and_steps():
 @pytest.mark.parametrize("alive_share", [1.0, 0.8, 0.5])
 def test_ranking_matches_a_sort_by_score_then_label(alive_share):
     from wardflow import paths
-    from wardflow.paths import GraphCore
     from wardflow.resilience import _ranking
 
     core = generate_network(ModelSpec("preferential-attachment", n=80, seed=5, m=2)).core
@@ -164,4 +196,4 @@ def test_ranking_matches_a_sort_by_score_then_label(alive_share):
         scores = dict(zip(members.tolist(), score(core.subgraph(members))))
         expected = sorted(scores, key=lambda i: (-scores[i], core.labels[i]))
         assert len(set(scores.values())) < len(scores)  # ties to break
-        assert _ranking(core, alive, score) == expected
+        assert _ranking(core.subgraph(members), members, score) == expected
