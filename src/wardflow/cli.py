@@ -131,6 +131,7 @@ def _write_output(payload: bytes, destination: str | None) -> None:
 def cmd_build(args) -> int:
     try:
         net, stats = _network_from_log(args.log, args)
+        payload = export_network(net, args.format)
     except (OSError, SchemaError, UnknownLocationError, ValueError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -138,11 +139,6 @@ def cmd_build(args) -> int:
         f"rows read: {stats.rows_read}, rejected: {stats.rows_rejected} {dict(sorted(stats.rejections.items()))}",
         file=sys.stderr,
     )
-    try:
-        payload = export_network(net, args.format)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     _write_output(payload, args.output)
     return EXIT_OK
 

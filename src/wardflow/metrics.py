@@ -7,8 +7,8 @@ projection, whose conventions the small-world machinery expects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import ClassVar, Mapping
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -34,6 +34,8 @@ class NodeMetrics:
     betweenness: float
     knn_weighted: float | None
 
+    null_reasons: ClassVar[Mapping[str, str]] = {"knn_weighted": "isolated node"}
+
 
 @dataclass(frozen=True)
 class NetworkMetrics:
@@ -52,7 +54,18 @@ class NetworkMetrics:
     assortativity: float | None
     assortativity_undirected: float | None
     degree_distribution: Mapping[int, float]
-    reasons: Mapping[str, str] = field(default_factory=dict)
+
+    null_reasons: ClassVar[Mapping[str, str]] = {
+        "mean_edge_weight": "network has no edges",
+        "reciprocity": "network has no edges",
+        "flow_hierarchy": "network has no edges",
+        "global_clustering": "network has no nodes",
+        "transitivity": "no connected triples",
+        "avg_shortest_path": "no reachable ordered pairs in the giant strongly connected component",
+        "avg_shortest_path_undirected": "no reachable pairs in the giant component",
+        "assortativity": "fewer than 2 edges or zero degree variance at edge endpoints",
+        "assortativity_undirected": "fewer than 2 projected edges or zero degree variance",
+    }
 
 
 def _require_directed(net: TransferNetwork, op: str) -> None:
@@ -189,7 +202,7 @@ def knn(net: TransferNetwork) -> tuple[dict[str, float | None], dict[int, float]
     core = net.core.projection
     degree = np.diff(core.weighted.indptr)
     strength = np.asarray(core.weighted.sum(axis=1)).ravel()
-    mixed = core.weighted @ degree
+    mixed = core.weighted @ degree.astype(float)  # in float64, so a heavy edge's product rounds, never wraps
     per_node = {
         label: m / s if k else None
         for label, k, s, m in zip(core.labels, degree.tolist(), strength.tolist(), mixed.tolist())
@@ -264,63 +277,28 @@ def compute_node_metrics(net: TransferNetwork, betweenness_weighted: bool = Fals
 
 
 def compute_network_metrics(net: TransferNetwork) -> NetworkMetrics:
+    """Whole-network measures of a directed network; `NetworkMetrics.null_reasons` says why a field is null."""
     _require_directed(net, "compute_network_metrics")
-    reasons: dict[str, str] = {}
-
-    def absent(name: str, reason: str) -> None:
-        reasons[name] = reason
-
     edge_count = net.edge_count
     total = net.total_weight
-    mean_weight = total / edge_count if edge_count else None
-    if mean_weight is None:
-        absent("mean_edge_weight", "network has no edges")
-
-    r = reciprocity(net) if edge_count else None
-    if r is None:
-        absent("reciprocity", "network has no edges")
-    h = flow_hierarchy(net) if edge_count else None
-    if h is None:
-        absent("flow_hierarchy", "network has no edges")
-
     _, c_av, transitivity = clustering(net)
-    if c_av is None:
-        absent("global_clustering", "network has no nodes")
-    if transitivity is None:
-        absent("transitivity", "no connected triples")
-
     l_directed, coverage_directed = avg_shortest_path(net, DIRECTED_SCOPE)
-    if l_directed is None:
-        absent("avg_shortest_path", "no reachable ordered pairs in the giant strongly connected component")
     l_projection, coverage_projection = avg_shortest_path(net, PROJECTION_SCOPE)
-    if l_projection is None:
-        absent("avg_shortest_path_undirected", "no reachable pairs in the giant component")
-
-    a = assortativity(net)
-    if a is None:
-        absent("assortativity", "fewer than 2 edges or zero degree variance at edge endpoints")
-    a_undirected = assortativity_undirected(net)
-    if a_undirected is None:
-        absent("assortativity_undirected", "fewer than 2 projected edges or zero degree variance")
-
     by_degree = np.bincount(net.core.degrees()).tolist()
-    p_k = {k: count / net.node_count for k, count in enumerate(by_degree) if count}
-
     return NetworkMetrics(
         node_count=net.node_count,
         edge_count=edge_count,
         total_weight=total,
-        mean_edge_weight=mean_weight,
-        reciprocity=r,
-        flow_hierarchy=h,
+        mean_edge_weight=total / edge_count if edge_count else None,
+        reciprocity=reciprocity(net),
+        flow_hierarchy=flow_hierarchy(net),
         global_clustering=c_av,
         transitivity=transitivity,
         avg_shortest_path=l_directed,
         path_coverage=coverage_directed,
         avg_shortest_path_undirected=l_projection,
         undirected_path_coverage=coverage_projection,
-        assortativity=a,
-        assortativity_undirected=a_undirected,
-        degree_distribution=p_k,
-        reasons=reasons,
+        assortativity=assortativity(net),
+        assortativity_undirected=assortativity_undirected(net),
+        degree_distribution={k: count / net.node_count for k, count in enumerate(by_degree) if count},
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -27,6 +28,15 @@ _GRAPHML_HEAD = (
 )
 # GraphML attr.type -> Python value; a key without attr.type holds strings
 _GRAPHML_TYPES = {"int": int, "long": int, "integer": int, "float": float, "double": float, "string": str}
+# characters outside XML 1.0's Char production, which no GraphML file can hold
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+# the largest total weight for which every strength and weight sum is exact in int64 and in float64
+MAX_TOTAL_WEIGHT = 2**53 - 1
+
+
+def _check_total(total: int, counted: str = "") -> None:
+    if total > MAX_TOTAL_WEIGHT:
+        raise ValueError(f"total edge weight{counted} is {total}, above the limit 2^53 - 1 = {MAX_TOTAL_WEIGHT}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +44,8 @@ class TransferNetwork:
     """Simple graph with positive integer edge weights and no self-loops.
 
     Undirected networks store each edge once under the sorted node pair.
-    Node categories are annotations and do not take part in equality.
+    Node categories are annotations and do not take part in equality. The
+    total weight may not exceed `MAX_TOTAL_WEIGHT`.
     """
 
     nodes: frozenset[str]
@@ -52,6 +63,7 @@ class TransferNetwork:
                 raise ValueError(f"edge ({u!r}, {v!r}) weight {weight!r} not a positive integer")
             if not self.directed and u > v:
                 raise ValueError(f"undirected edge ({u!r}, {v!r}) not in canonical order")
+        _check_total(self.total_weight)
 
     @property
     def node_count(self) -> int:
@@ -201,10 +213,17 @@ def _export_graphml(net: TransferNetwork) -> bytes:
     each new key at the front, listed last-numbered first.
 
     A carriage return in a category is the one difference: it is written
-    as `&#13;`, so that it reads back as itself.
+    as `&#13;`, so that it reads back as itself. A label or category with a
+    character that XML 1.0 cannot carry is a ValueError.
     """
     categories = net.categories or {}
     labels = net.sorted_nodes()
+    for label in labels:
+        if _NOT_XML_CHAR.search(label):
+            raise ValueError(f"GraphML cannot carry node label {label!r}: XML 1.0 has no such character")
+        if _NOT_XML_CHAR.search(categories.get(label, "")):
+            raise ValueError(f"GraphML cannot carry category {categories[label]!r} of node {label!r}: "
+                             "XML 1.0 has no such character")
     ids = {label: _xml_attribute(label) for label in labels}
     keys = []
     if any(label in categories for label in labels):
@@ -321,9 +340,17 @@ def export_network(net: TransferNetwork, fmt: str) -> bytes:
 
 
 def import_network(data: bytes, fmt: str, directed: bool = True) -> TransferNetwork:
-    """Parse a serialized network; edge lists need the directed flag supplied."""
+    """Parse a serialized network; edge lists need the directed flag supplied.
+
+    An undirected network's total weight counts each edge twice against
+    `MAX_TOTAL_WEIGHT`, as the analysis reads it in both directions.
+    """
     if fmt == "graphml":
-        return _import_graphml(data)
-    if fmt == "edgelist":
-        return _import_edgelist(data, directed)
-    raise ValueError(f"unsupported import format {fmt!r}")
+        net = _import_graphml(data)
+    elif fmt == "edgelist":
+        net = _import_edgelist(data, directed)
+    else:
+        raise ValueError(f"unsupported import format {fmt!r}")
+    if not net.directed:
+        _check_total(2 * net.total_weight, ", each undirected edge counted twice,")
+    return net

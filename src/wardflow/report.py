@@ -39,9 +39,9 @@ def _plain(value: Any) -> Any:
     """The report form of a result, as JSON-ready dicts and lists.
 
     A dataclass or named tuple becomes a dict of its fields in declaration
-    order. A `reasons` mapping is not written itself: each reason follows
-    the null field it explains, as `<field>_reason`. Other sequences become
-    lists and mapping keys become strings.
+    order. A null field that its type's `null_reasons` table names is
+    followed by `<field>_reason`, with the text from that table. Other
+    sequences become lists and mapping keys become strings.
     """
     names = _field_names(type(value))
     if names is None:
@@ -53,7 +53,7 @@ def _plain(value: Any) -> Any:
     fields = {name: getattr(value, name) for name in names}
     if set(map(type, fields.values())) <= {str, int, float}:
         return fields  # no null, no nesting: a node row, most often
-    reasons = fields.pop("reasons", {})
+    reasons = getattr(value, "null_reasons", {})
     out: dict[str, Any] = {}
     for name, item in fields.items():
         out[name] = _plain(item)
@@ -63,21 +63,14 @@ def _plain(value: Any) -> Any:
 
 
 def _capture(out: dict[str, Any], key: str, producer: Callable[[], Any]) -> bool:
-    """out[key] = producer(), or None and a `<key>_reason` if it raises; True on failure."""
+    """out[key] = the report form of producer(), or None and a `<key>_reason` if it raises; True on failure."""
     try:
-        out[key] = producer()
+        out[key] = _plain(producer())
     except Exception as exc:  # noqa: BLE001 - failures become report entries
         out[key] = None
         out[f"{key}_reason"] = str(exc)
         return True
     return False
-
-
-def _node_row(metric: metrics_mod.NodeMetrics) -> dict[str, Any]:
-    row = _plain(metric)
-    if metric.knn_weighted is None:
-        row["knn_weighted_reason"] = "isolated node"
-    return row
 
 
 def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
@@ -143,7 +136,7 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
     def ingest_section():
         if ingest is None:
             raise ValueError("no ingest performed for this input")
-        return _plain(dataclasses.replace(ingest, rejections=dict(sorted(ingest.rejections.items()))))
+        return dataclasses.replace(ingest, rejections=dict(sorted(ingest.rejections.items())))
 
     section("ingest", ingest_section)
     section(
@@ -169,8 +162,8 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
         per_node = {label: m.knn_weighted for label, m in node_metrics().items()}
         return metrics_mod.knn_curve(directed, per_node)
 
-    section("node_metrics", lambda: [_node_row(m) for _, m in sorted(node_metrics().items())])
-    section("network_metrics", lambda: _plain(metrics_mod.compute_network_metrics(directed)))
+    section("node_metrics", lambda: [m for _, m in sorted(node_metrics().items())])
+    section("network_metrics", lambda: metrics_mod.compute_network_metrics(directed))
 
     def fits_section():
         out: dict[str, Any] = {}
@@ -184,34 +177,32 @@ def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
             "knn_degree": lambda: powerlaw_mod.fit_knn_curve(knn_curve()),
         }
         for key, producer in parts.items():
-            _capture(out, key, lambda: _plain(producer()))
+            _capture(out, key, producer)
         return out
 
     section("fits", fits_section)
     section(
         "small_world",
-        lambda: _plain(
-            smallworld_mod.small_world_report(
-                undirected_projection(directed),
-                n_samples=sw_samples,
-                seed=derive_seed(seed, _SMALLWORLD_DOMAIN),
-                n_swaps=sw_swaps,
-                lattice_swaps=sw_lattice_swaps,
-            )
+        lambda: smallworld_mod.small_world_report(
+            undirected_projection(directed),
+            n_samples=sw_samples,
+            seed=derive_seed(seed, _SMALLWORLD_DOMAIN),
+            n_swaps=sw_swaps,
+            lattice_swaps=sw_lattice_swaps,
         ),
     )
 
     def classification_section():
         return {
-            "hubs_bottlenecks": _plain(classify_mod.classify_hubs_bottlenecks(node_metrics(), quantile)),
-            "roles": _plain(classify_mod.label_distributors_receivers(node_metrics(), role_threshold_sd)),
+            "hubs_bottlenecks": classify_mod.classify_hubs_bottlenecks(node_metrics(), quantile),
+            "roles": classify_mod.label_distributors_receivers(node_metrics(), role_threshold_sd),
         }
 
     section("classification", classification_section)
 
     section("resilience", lambda: {
-        strategy: _plain(resilience_mod.attack(directed, strategy, step_fraction=attack_step,
-                                               seed=derive_seed(seed, _ATTACK_DOMAIN)))
+        strategy: resilience_mod.attack(directed, strategy, step_fraction=attack_step,
+                                        seed=derive_seed(seed, _ATTACK_DOMAIN))
         for strategy in sorted(set(attack_strategies))
     })
 

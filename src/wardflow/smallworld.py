@@ -8,7 +8,7 @@ lattice ensemble only swaps that do not loosen a banded edge layout
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -59,7 +59,11 @@ class SmallWorldReport:
     n_swaps_lattice: int
     accepted_swaps_random: tuple[int, ...]
     accepted_swaps_lattice: tuple[int, ...]
-    reasons: Mapping[str, str]
+
+    null_reasons: ClassVar[Mapping[str, str]] = {
+        "sigma": "needs C, L, and nonzero random-ensemble means",
+        "omega": "needs C, L, L_rand, and nonzero lattice clustering",
+    }
 
 
 def _swap_kernel(edge_u, edge_v, pick_a, pick_b, orientation, rank, present, n, limit=None):
@@ -317,16 +321,11 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
     l_rand = _mean(random_l)
     c_lat = _mean(lattice_c)
 
-    reasons: dict[str, str] = {}
     sigma = None
-    if None in (c_av, l_av, c_rand, l_rand) or c_rand == 0 or l_rand == 0:
-        reasons["sigma"] = "needs C, L, and nonzero random-ensemble means"
-    else:
+    if None not in (c_av, l_av, c_rand, l_rand) and c_rand != 0 and l_rand != 0:
         sigma = (c_av / c_rand) / (l_av / l_rand)
     omega = None
-    if None in (c_av, l_av, l_rand, c_lat) or c_lat == 0:
-        reasons["omega"] = "needs C, L, L_rand, and nonzero lattice clustering"
-    else:
+    if None not in (c_av, l_av, l_rand, c_lat) and c_lat != 0:
         omega = l_rand / l_av - c_av / c_lat
 
     return SmallWorldReport(
@@ -345,5 +344,4 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
         n_swaps_lattice=lattice_swaps,
         accepted_swaps_random=random_accepted,
         accepted_swaps_lattice=lattice_accepted,
-        reasons=reasons,
     )

@@ -380,6 +380,59 @@ def test_edge_list_empty_label_cases_are_input_errors(tmp_path, capsys):
     assert "empty label" in err
 
 
+_GRAPHML_EDGE = """<?xml version='1.0' encoding='utf-8'?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="d0" for="edge" attr.name="weight" attr.type="long" />
+  <graph edgedefault="directed">
+    <edge source="a" target="c"><data key="d0">100000000000000000000000</data></edge>
+  </graph>
+</graphml>
+"""
+
+
+@pytest.mark.parametrize("name, text", [
+    # the k_nn product of `a` wraps in int64
+    ("net.csv", "from,to,weight\na,c,5000000000000000000\nb,c,1\n"),
+    # the in-strength of `c` wraps in int64
+    ("net.csv", "from,to,weight\na,c,5000000000000000000\nb,c,5000000000000000000\n"),
+    # a weight beyond int64
+    ("net.csv", "from,to,weight\na,c,100000000000000000000000\n"),
+    ("net.graphml", _GRAPHML_EDGE),
+], ids=["knn-wraps", "strength-wraps", "beyond-int64", "beyond-int64-graphml"])
+def test_total_weight_above_the_limit_is_input_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", path, "--skip", "small_world")
+    assert code == 2 and out == ""
+    assert "2^53 - 1" in err
+
+
+def test_undirected_total_over_half_the_limit_is_input_error(tmp_path, capsys):
+    # the analysis reads each undirected edge in both directions
+    path = tmp_path / "net.csv"
+    path.write_text(f"from,to,weight\na,b,{2**52}\n")
+    code, out, err = run(capsys, "analyze", path, "--undirected", "--skip", "small_world")
+    assert code == 2 and out == ""
+    assert "counted twice" in err
+    assert run(capsys, "analyze", path, "--skip", "small_world", "--boot", "0")[0] == 0
+
+
+def test_label_graphml_cannot_carry_is_input_error_for_graphml_only(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("admission_id,location,timestamp\n1,a\x01b,2016-03-01T08:00\n1,c,2016-03-01T09:00\n")
+    out = tmp_path / "net.graphml"
+    code, _, err = run(capsys, "build", log, "-o", out)
+    assert code == 2 and "'a\\x01b'" in err
+    assert not out.exists()
+    # the log parser, edge lists and --from-log keep the label
+    edges = tmp_path / "net.csv"
+    assert run(capsys, "build", log, "--format", "edgelist", "-o", edges)[0] == 0
+    assert "a\x01b" in edges.read_text()
+    assert run(capsys, "analyze", log, "--from-log", "--skip", "small_world", "--boot", "0")[0] == 0
+    code, out_text, err = run(capsys, "export", edges, "--to", "graphml")
+    assert code == 2 and out_text == "" and "'a\\x01b'" in err
+
+
 def test_report_bytes_do_not_depend_on_the_string_hash_seed(tmp_path, capsys):
     log = tmp_path / "log.csv"
     net = tmp_path / "net.graphml"

@@ -1,4 +1,5 @@
 import io
+import re
 from datetime import datetime, timedelta
 
 import networkx as nx
@@ -106,6 +107,32 @@ def test_validation_rejects_bad_networks():
         net_of({("A", "B"): True})
     with pytest.raises(ValueError):
         net_of({("B", "A"): 1}, directed=False)
+
+
+def test_total_weight_limit_counts_an_undirected_edge_twice_when_read():
+    limit = 2**53 - 1
+    for directed in (True, False):
+        net_of({("A", "B"): limit - 1, ("B", "C"): 1}, directed=directed)
+        with pytest.raises(ValueError, match=r"above the limit 2\^53 - 1"):
+            net_of({("A", "B"): limit, ("B", "C"): 1}, directed=directed)
+    # the projection of a network within the limit is within it
+    heavy = net_of({("A", "B"): limit - 1, ("B", "C"): 1})
+    assert undirected_projection(heavy).total_weight == limit
+    # a read undirected network is analysed in both directions
+    import_network(f"from,to,weight\nA,B,{limit // 2}\n".encode(), "edgelist", directed=False)
+    with pytest.raises(ValueError, match="each undirected edge counted twice"):
+        import_network(f"from,to,weight\nA,B,{limit // 2 + 1}\n".encode(), "edgelist", directed=False)
+
+
+@pytest.mark.parametrize("bad", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x1f", "\ufffe", "\uffff"])
+def test_graphml_export_rejects_labels_xml_cannot_carry(bad):
+    with pytest.raises(ValueError, match=re.escape(f"node label {f'a{bad}b'!r}")):
+        export_network(net_of({(f"a{bad}b", "c"): 1}), "graphml")
+    with pytest.raises(ValueError, match="category"):
+        export_network(net_of({("a", "c"): 1}, categories={"c": f"icu{bad}"}), "graphml")
+    # the other formats carry it
+    net = net_of({(f"a{bad}b", "c"): 1})
+    assert import_network(export_network(net, "edgelist"), "edgelist") == net
 
 
 def test_edgelist_export_shape():

@@ -5,7 +5,8 @@ import pytest
 
 from wardflow import pool, smallworld
 from wardflow.metrics import clustering
-from wardflow.network import TransferNetwork, undirected_projection
+from wardflow.network import TransferNetwork, as_symmetric_directed, undirected_projection
+from wardflow.report import _plain
 from wardflow.smallworld import latticize, rewire_random, small_world_report
 from wardflow.synth import ModelSpec, generate_network
 
@@ -118,12 +119,24 @@ def test_small_world_report_rejects_directed_input():
     small_world_report(undirected_projection(directed), n_samples=1, seed=0)
 
 
+def test_small_world_report_of_a_directed_network_near_the_weight_limit():
+    # the projection keeps the directed total, above half the limit, in every ensemble member
+    ring = as_symmetric_directed(generate_network(ModelSpec("ring-rewire", n=30, k=4, p=0.1, seed=3)))
+    edges = dict(ring.edges)
+    edges[next(iter(edges))] = 2**52
+    heavy = TransferNetwork(ring.nodes, edges, directed=True)
+    assert 2**52 < heavy.total_weight <= 2**53 - 1
+    report = small_world_report(undirected_projection(heavy), n_samples=2, seed=0)
+    assert None not in (report.clustering, report.path_length, report.clustering_random,
+                        report.path_length_random, report.clustering_lattice, report.sigma, report.omega)
+
+
 def test_small_world_report_absent_reasons_for_degenerate_input():
     # two disconnected dyads: every reference is identical, C values are 0
     net = net_of({("A", "B"): 1, ("C", "D"): 1})
     report = small_world_report(net, n_samples=2, seed=0)
     assert report.sigma is None
-    assert "sigma" in report.reasons
+    assert _plain(report)["sigma_reason"] == "needs C, L, and nonzero random-ensemble means"
     assert report.omega is None
 
 
