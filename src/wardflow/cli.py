@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -21,8 +22,6 @@ from .eventlog import (
     KEEP_AS_IS,
     REJECT_UNKNOWN,
     LogSchema,
-    SchemaError,
-    UnknownLocationError,
     apply_category_map,
     parse_event_log,
     read_category_map,
@@ -67,6 +66,10 @@ def _delimiter(text: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
+
+
+def _names(text: str) -> list[str]:
+    return [token for token in text.split(",") if token]
 
 
 def _degrees(text: str) -> tuple[int, ...] | None:
@@ -132,7 +135,7 @@ def cmd_build(args) -> int:
     try:
         net, stats = _network_from_log(args.log, args)
         payload = export_network(net, args.format)
-    except (OSError, SchemaError, UnknownLocationError, ValueError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(
@@ -184,34 +187,20 @@ def _write_sidecars(report: dict, net: TransferNetwork, directory: str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    # argparse holds only the options given; an empty --attack or --skip counts as not given
+    names = {field.name for field in dataclasses.fields(report_mod.AnalysisOptions)}
+    given = {name: value for name, value in vars(args).items() if name in names and value != []}
     try:
-        net, stats, digest = _load_network(args)
-    except (OSError, SchemaError, UnknownLocationError, ValueError, UnicodeDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    skip = [token for chunk in args.skip for token in chunk.split(",") if token]
-    strategies = [token for chunk in args.attack for token in chunk.split(",") if token]
-    try:
-        report = report_mod.build_report(
-            net,
-            seed=args.seed,
-            boot=args.boot,
-            quantile=args.quantile,
-            role_threshold_sd=args.role_threshold_sd,
-            sw_samples=args.sw_samples,
-            sw_swaps=args.sw_swaps,
-            sw_lattice_swaps=args.sw_lattice_swaps,
-            attack_strategies=strategies or ("degree", "random"),
-            attack_step=args.attack_step,
-            skip=skip,
-            ingest=stats,
-            digest=digest,
-            weighted_betweenness=args.weighted_betweenness,
-        )
+        options = report_mod.AnalysisOptions(**given)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        net, stats, digest = _load_network(args)
+    except (OSError, ValueError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    report = report_mod.build_report(net, options, ingest=stats, digest=digest)
     if args.sidecar_dir:
         _write_sidecars(report, net, args.sidecar_dir)
     text = json.dumps(report, indent=2, allow_nan=False)
@@ -263,24 +252,26 @@ def _build_parser() -> _Parser:
     build.add_argument("-o", "--output", default=None)
     build.set_defaults(func=cmd_build)
 
-    analyze = sub.add_parser("analyze", help="network file -> JSON report on stdout")
+    # the analysis options carry no defaults here: AnalysisOptions holds them, and their checks
+    analyze = sub.add_parser("analyze", help="network file -> JSON report on stdout",
+                             argument_default=argparse.SUPPRESS)
     analyze.add_argument("network")
-    analyze.add_argument("--from-log", action="store_true", help="treat the input as an event log CSV")
+    analyze.add_argument("--from-log", action="store_true", default=False, help="treat the input as an event log CSV")
     _add_log_options(analyze)
     analyze.add_argument("--format", choices=("graphml", "edgelist"), default=None,
                          help="input format override")
-    analyze.add_argument("--undirected", action="store_true", help="edge-list input is undirected")
-    analyze.add_argument("--quantile", type=float, default=0.20)
-    analyze.add_argument("--role-threshold-sd", type=float, default=2.0)
-    analyze.add_argument("--boot", type=int, default=200)
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--sw-samples", type=int, default=20)
-    analyze.add_argument("--sw-swaps", type=int, default=None)
-    analyze.add_argument("--sw-lattice-swaps", type=int, default=None)
-    analyze.add_argument("--attack", action="append", default=[],
+    analyze.add_argument("--undirected", action="store_true", default=False, help="edge-list input is undirected")
+    analyze.add_argument("--quantile", type=float)
+    analyze.add_argument("--role-threshold-sd", type=float)
+    analyze.add_argument("--boot", type=int)
+    analyze.add_argument("--seed", type=int)
+    analyze.add_argument("--sw-samples", type=int)
+    analyze.add_argument("--sw-swaps", type=int)
+    analyze.add_argument("--sw-lattice-swaps", type=int)
+    analyze.add_argument("--attack", dest="attack_strategies", type=_names, action="extend",
                          help="comma-separated strategies: degree, betweenness, random")
-    analyze.add_argument("--attack-step", type=float, default=0.05)
-    analyze.add_argument("--skip", action="append", default=[],
+    analyze.add_argument("--attack-step", type=float)
+    analyze.add_argument("--skip", type=_names, action="extend",
                          help=f"comma-separated sections: {', '.join(SECTIONS)}")
     analyze.add_argument("--weighted-betweenness", action="store_true")
     analyze.add_argument("--sidecar-dir", default=None, help="write plot-ready curve CSVs here")
@@ -313,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", 0) < 0:
+        if args.command == "synth" and args.seed < 0:
             parser.error(f"seed must be >= 0, got {args.seed}")
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -28,6 +28,8 @@ _GRAPHML_HEAD = (
 )
 # GraphML attr.type -> Python value; a key without attr.type holds strings
 _GRAPHML_TYPES = {"int": int, "long": int, "integer": int, "float": float, "double": float, "string": str}
+# an edge-list weight, as the edge-list writer writes it; int() would also take "1_0" or non-ASCII digits
+_DIGITS = re.compile(r"[0-9]+")
 # characters outside XML 1.0's Char production, which no GraphML file can hold
 _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 # the largest total weight for which every strength and weight sum is exact in int64 and in float64
@@ -155,6 +157,8 @@ def _import_edgelist(data: bytes, directed: bool) -> TransferNetwork:
             continue
         if len(row) != 3:
             raise ValueError(f"edge-list row {row} does not have three columns")
+        if not _DIGITS.fullmatch(row[2]):
+            raise ValueError(f"edge-list row {row} has weight {row[2]!r}, not ASCII digits")
         u, v, weight = row[0], row[1], int(row[2])
         if u == "":
             raise ValueError(f"edge-list row {row} has an empty source")
@@ -254,11 +258,12 @@ def _export_graphml(net: TransferNetwork) -> bytes:
     return "".join(parts).encode("utf-8", "xmlcharrefreplace")
 
 
-def _graphml_value(element: ElementTree.Element, name: str, keys: dict, tag: str):
+def _graphml_value(element: ElementTree.Element, name: str, keys: dict, tag: str, owner: str):
     """The value of the element's last <data> for attribute `name`, or None without one.
 
     Values are converted by their key's attr.type; an empty <data> reads as
-    "" and one with child elements (a yEd extension) is skipped.
+    "" and one with child elements (a yEd extension) is skipped. Numeric
+    text must be ASCII without "_", which int() and float() would also take.
     """
     value = None
     for data in element:
@@ -271,7 +276,10 @@ def _graphml_value(element: ElementTree.Element, name: str, keys: dict, tag: str
             continue
         if kind not in _GRAPHML_TYPES:
             raise ValueError(f"GraphML attribute {name!r} has unsupported type {kind!r}")
-        value = "" if data.text is None else _GRAPHML_TYPES[kind](data.text)
+        convert, text = _GRAPHML_TYPES[kind], data.text or ""
+        if convert is not str and (not text.isascii() or "_" in text):
+            raise ValueError(f"GraphML {name} {text!r} of {owner} is not an ASCII number without '_'")
+        value = convert(text) if text else ""
     return value
 
 
@@ -303,7 +311,7 @@ def _import_graphml(data: bytes) -> TransferNetwork:
             if node is None:
                 raise ValueError("GraphML node without an id")
             nodes.add(node)
-            category = _graphml_value(element, "category", keys, data_tag)
+            category = _graphml_value(element, "category", keys, data_tag, f"node {node!r}")
             if category is not None:
                 categories[node] = str(category)
         elif element.tag == edge_tag:
@@ -317,7 +325,7 @@ def _import_graphml(data: bytes) -> TransferNetwork:
                 u, v = v, u
             if (u, v) in edges:
                 raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            weight = _graphml_value(element, "weight", keys, data_tag)
+            weight = _graphml_value(element, "weight", keys, data_tag, f"edge ({u!r}, {v!r})")
             if weight is None:
                 weight = 1
             if isinstance(weight, float) and not weight.is_integer():

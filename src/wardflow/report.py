@@ -4,9 +4,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Any, Callable, Iterable, Mapping
-
-import numpy as np
+from typing import Any, Callable, Mapping, NamedTuple
 
 from . import SECTIONS, __version__
 from . import classify as classify_mod
@@ -17,14 +15,70 @@ from . import smallworld as smallworld_mod
 from .eventlog import IngestStats
 from .network import TransferNetwork, as_symmetric_directed, undirected_projection
 
-_POWERLAW_DOMAIN = 1
-_SMALLWORLD_DOMAIN = 2
-_ATTACK_DOMAIN = 3
-
 
 def derive_seed(master: int, domain: int) -> int:
     """Stable per-component sub-seed from the single master seed."""
+    import numpy as np
+
     return int(np.random.SeedSequence((master, domain)).generate_state(1)[0])
+
+
+class DerivedSeeds(NamedTuple):
+    """The sub-seeds of the randomized sections; field i is drawn for domain i + 1 of the master seed."""
+
+    power_law: int
+    small_world: int
+    attack_random: int
+
+
+@dataclasses.dataclass(frozen=True)
+class AnalysisOptions:
+    """The options of an analysis, in the order the report's `config` echoes them.
+
+    Every default and range check of `wardflow analyze` is here, so a bad
+    value fails before any input is read or any section runs. Strategies and
+    skipped sections are kept sorted and distinct.
+    """
+
+    seed: int = 0
+    boot: int = 200  # bootstrap replicates of the degree-tail fit; 0 leaves the bootstrap out
+    quantile: float = 0.20
+    role_threshold_sd: float = 2.0
+    sw_samples: int = 20
+    sw_swaps: int | None = None  # None: the small-world section's default per edge
+    sw_lattice_swaps: int | None = None
+    attack_strategies: tuple[str, ...] = ("degree", "random")
+    attack_step: float = 0.05
+    skip: tuple[str, ...] = ()
+    weighted_betweenness: bool = False
+    derived_seeds: DerivedSeeds = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        # the report echoes these, and JSON has no nan or infinity
+        for name in ("quantile", "role_threshold_sd", "attack_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
+        for name, low in (("seed", 0), ("boot", 0), ("role_threshold_sd", 0), ("sw_samples", 1), ("sw_swaps", 0),
+                          ("sw_lattice_swaps", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in ("quantile", "attack_step"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
+        for name, allowed in (("attack_strategies", ("betweenness", "degree", "random")), ("skip", SECTIONS)):
+            values = tuple(sorted(set(getattr(self, name))))
+            unknown = [value for value in values if value not in allowed]
+            if unknown:
+                raise ValueError(f"{name} must be among {', '.join(allowed)}, got {unknown}")
+            object.__setattr__(self, name, values)
+
+    def __getattr__(self, name: str) -> DerivedSeeds:
+        # derived_seeds is drawn on first read, so that checking the options loads no numpy before the input is read
+        if name != "derived_seeds":
+            raise AttributeError(name)
+        object.__setattr__(self, name, DerivedSeeds(*(derive_seed(self.seed, domain) for domain in range(1, 4))))
+        return self.derived_seeds
 
 
 @functools.cache
@@ -73,139 +127,72 @@ def _capture(out: dict[str, Any], key: str, producer: Callable[[], Any]) -> bool
     return False
 
 
-def build_report(net: TransferNetwork, *, seed: int = 0, boot: int = 200,
-                 quantile: float = 0.20, role_threshold_sd: float = 2.0,
-                 sw_samples: int = 20, sw_swaps: int | None = None,
-                 sw_lattice_swaps: int | None = None,
-                 attack_strategies: Iterable[str] = ("degree", "random"),
-                 attack_step: float = 0.05, skip: Iterable[str] = (),
-                 ingest: IngestStats | None = None, digest: str | None = None,
-                 weighted_betweenness: bool = False) -> dict[str, Any]:
-    """Run every non-skipped analysis section over the network.
+def build_report(net: TransferNetwork, options: AnalysisOptions, *,
+                 ingest: IngestStats | None = None, digest: str | None = None) -> dict[str, Any]:
+    """Run every non-skipped analysis section over the network, in `SECTIONS` order.
 
     Section computations that fail leave a null entry with a sibling reason
     instead of aborting the report.
     """
-    skip_set = set(skip)
-    unknown = skip_set - set(SECTIONS)
-    if unknown:
-        raise ValueError(f"unknown sections to skip: {sorted(unknown)}")
-    if boot < 0:
-        raise ValueError(f"boot must be >= 0 (0 skips the bootstrap), got {boot}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    # the report echoes these in its config, and JSON has no nan or infinity
-    for name, value in (("quantile", quantile), ("role_threshold_sd", role_threshold_sd), ("attack_step", attack_step)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
-
     directed = as_symmetric_directed(net)
-    report: dict[str, Any] = {
-        "tool": {"name": "wardflow", "version": __version__},
-        "input": {"digest": digest},
-        "config": {
-            "seed": seed,
-            "boot": boot,
-            "quantile": quantile,
-            "role_threshold_sd": role_threshold_sd,
-            "sw_samples": sw_samples,
-            "sw_swaps": sw_swaps,
-            "sw_lattice_swaps": sw_lattice_swaps,
-            "attack_strategies": sorted(set(attack_strategies)),
-            "attack_step": attack_step,
-            "skip": sorted(skip_set),
-            "weighted_betweenness": weighted_betweenness,
-            "derived_seeds": {
-                "power_law": derive_seed(seed, _POWERLAW_DOMAIN),
-                "small_world": derive_seed(seed, _SMALLWORLD_DOMAIN),
-                "attack_random": derive_seed(seed, _ATTACK_DOMAIN),
-            },
-        },
-    }
+    seeds = options.derived_seeds
 
-    failures = 0
-    total = 0
-
-    def section(name: str, producer: Callable[[], Any]) -> None:
-        nonlocal failures, total
-        if name in skip_set:
-            return
-        total += 1
-        failures += _capture(report, name, producer)
+    @functools.cache
+    def node_metrics() -> dict[str, metrics_mod.NodeMetrics]:
+        return metrics_mod.compute_node_metrics(directed, betweenness_weighted=options.weighted_betweenness)
 
     def ingest_section():
         if ingest is None:
             raise ValueError("no ingest performed for this input")
         return dataclasses.replace(ingest, rejections=dict(sorted(ingest.rejections.items())))
 
-    section("ingest", ingest_section)
-    section(
-        "network_summary",
-        lambda: {
+    def fits_section():
+        out: dict[str, Any] = {}
+        degree_samples = [m.degree for m in node_metrics().values() if m.degree >= 1]
+        # the k_nn curve is read from the node metrics' k_nn values, so `knn` runs once per report
+        knn = {label: m.knn_weighted for label, m in node_metrics().items()}
+        parts = {
+            "degree_tail": lambda: powerlaw_mod.analyze_tail(degree_samples, n_boot=options.boot, seed=seeds.power_law),
+            "strength_degree": lambda: powerlaw_mod.fit_strength_degree(directed),
+            "betweenness_degree": lambda: powerlaw_mod.fit_betweenness_degree(node_metrics()),
+            "knn_degree": lambda: powerlaw_mod.fit_knn_curve(metrics_mod.knn_curve(directed, knn)),
+        }
+        for key, producer in parts.items():
+            _capture(out, key, producer)
+        return out
+
+    sections: dict[str, Callable[[], Any]] = {
+        "ingest": ingest_section,
+        "network_summary": lambda: {
             "nodes": directed.node_count,
             "edges": directed.edge_count,
             "total_weight": directed.total_weight,
             "directed": net.directed,
             "categorised_nodes": len(net.categories or {}),
         },
-    )
-
-    cache: dict[str, Any] = {}
-
-    def node_metrics() -> dict[str, metrics_mod.NodeMetrics]:
-        if "metrics" not in cache:
-            cache["metrics"] = metrics_mod.compute_node_metrics(directed, betweenness_weighted=weighted_betweenness)
-        return cache["metrics"]
-
-    def knn_curve() -> dict[int, float]:
-        # from the node metrics' k_nn values, so `knn` runs once per report
-        per_node = {label: m.knn_weighted for label, m in node_metrics().items()}
-        return metrics_mod.knn_curve(directed, per_node)
-
-    section("node_metrics", lambda: [m for _, m in sorted(node_metrics().items())])
-    section("network_metrics", lambda: metrics_mod.compute_network_metrics(directed))
-
-    def fits_section():
-        out: dict[str, Any] = {}
-        degree_samples = [m.degree for m in node_metrics().values() if m.degree >= 1]
-        parts = {
-            "degree_tail": lambda: powerlaw_mod.analyze_tail(
-                degree_samples, n_boot=boot, seed=derive_seed(seed, _POWERLAW_DOMAIN)
-            ),
-            "strength_degree": lambda: powerlaw_mod.fit_strength_degree(directed),
-            "betweenness_degree": lambda: powerlaw_mod.fit_betweenness_degree(node_metrics()),
-            "knn_degree": lambda: powerlaw_mod.fit_knn_curve(knn_curve()),
-        }
-        for key, producer in parts.items():
-            _capture(out, key, producer)
-        return out
-
-    section("fits", fits_section)
-    section(
-        "small_world",
-        lambda: smallworld_mod.small_world_report(
-            undirected_projection(directed),
-            n_samples=sw_samples,
-            seed=derive_seed(seed, _SMALLWORLD_DOMAIN),
-            n_swaps=sw_swaps,
-            lattice_swaps=sw_lattice_swaps,
-        ),
-    )
-
-    def classification_section():
-        return {
-            "hubs_bottlenecks": classify_mod.classify_hubs_bottlenecks(node_metrics(), quantile),
-            "roles": classify_mod.label_distributors_receivers(node_metrics(), role_threshold_sd),
-        }
-
-    section("classification", classification_section)
-
-    section("resilience", lambda: {
-        strategy: resilience_mod.attack(directed, strategy, step_fraction=attack_step,
-                                        seed=derive_seed(seed, _ATTACK_DOMAIN))
-        for strategy in sorted(set(attack_strategies))
-    })
-
-    if total > 0 and failures == total:
+        "node_metrics": lambda: [m for _, m in sorted(node_metrics().items())],
+        "network_metrics": lambda: metrics_mod.compute_network_metrics(directed),
+        "fits": fits_section,
+        "small_world": lambda: smallworld_mod.small_world_report(
+            undirected_projection(directed), n_samples=options.sw_samples, seed=seeds.small_world,
+            n_swaps=options.sw_swaps, lattice_swaps=options.sw_lattice_swaps),
+        "classification": lambda: {
+            "hubs_bottlenecks": classify_mod.classify_hubs_bottlenecks(node_metrics(), options.quantile),
+            "roles": classify_mod.label_distributors_receivers(node_metrics(), options.role_threshold_sd),
+        },
+        "resilience": lambda: {
+            strategy: resilience_mod.attack(directed, strategy, step_fraction=options.attack_step,
+                                            seed=seeds.attack_random)
+            for strategy in options.attack_strategies
+        },
+    }
+    report: dict[str, Any] = {
+        "tool": {"name": "wardflow", "version": __version__},
+        "input": {"digest": digest},
+        "config": _plain(options),
+    }
+    run = [name for name in SECTIONS if name not in options.skip]
+    failures = sum(_capture(report, name, sections[name]) for name in run)
+    if run and failures == len(run):
         report["all_sections_failed"] = True
     return report

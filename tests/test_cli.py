@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -128,13 +129,11 @@ def test_analyze_skip_removes_section(log_file, capsys):
     assert "small_world" in report
 
 
-@pytest.mark.parametrize("flag, name", [("--sw-swaps", "n_swaps"), ("--sw-lattice-swaps", "lattice_swaps")])
-def test_analyze_negative_swap_count_is_a_section_failure(log_file, capsys, flag, name):
-    code, out, _ = run(capsys, *analyze_args(log_file, flag, "-1"))
-    assert code == 0
-    report = json.loads(out)
-    assert report["small_world"] is None
-    assert report["small_world_reason"] == f"{name} must be >= 0, got -1"
+@pytest.mark.parametrize("flag, name", [("--sw-swaps", "sw_swaps"), ("--sw-lattice-swaps", "sw_lattice_swaps")])
+def test_analyze_negative_swap_count_is_usage_error(log_file, capsys, flag, name):
+    code, out, err = run(capsys, *analyze_args(log_file, flag, "-1"))
+    assert code == 1 and out == ""
+    assert f"{name} must be >= 0, got -1" in err
 
 
 def test_analyze_unknown_skip_is_usage_error(log_file, capsys):
@@ -175,12 +174,44 @@ def test_delimiter_of_other_than_one_character_is_usage_error(log_file, capsys, 
     assert f"argument --delimiter: delimiter must be one character, got {delimiter!r}" in err
 
 
-def test_analyze_negative_role_threshold_is_a_section_failure(log_file, capsys):
-    code, out, _ = run(capsys, *analyze_args(log_file, "--role-threshold-sd", "-1", "--skip", "small_world"))
+def test_analyze_negative_role_threshold_is_usage_error(log_file, capsys):
+    code, out, err = run(capsys, *analyze_args(log_file, "--role-threshold-sd", "-1", "--skip", "small_world"))
+    assert code == 1 and out == ""
+    assert "role_threshold_sd must be >= 0, got -1.0" in err
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--boot", "-1", "boot"), ("--seed", "-1", "seed"), ("--quantile", "nan", "quantile"),
+    ("--skip", "nonsense", "skip"), ("--sw-samples", "0", "sw_samples"), ("--sw-swaps", "-1", "sw_swaps"),
+    ("--attack-step", "0", "attack_step"), ("--attack-step", "2", "attack_step"), ("--quantile", "0", "quantile"),
+    ("--quantile", "1.5", "quantile"), ("--role-threshold-sd", "-1", "role_threshold_sd"),
+    ("--attack", "nonsense", "attack_strategies"), ("--attack", "degree,explicit", "attack_strategies"),
+])
+def test_analyze_option_out_of_range_is_usage_error_before_the_input_is_read(log_file, tmp_path, capsys,
+                                                                             flag, value, name):
+    for source in (log_file, tmp_path / "missing.csv"):
+        code, out, err = run(capsys, *analyze_args(source, f"{flag}={value}"))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {name} ")
+
+
+def test_analyze_option_boundaries_are_in_range(log_file, capsys):
+    bounds = {"boot": 0, "sw_swaps": 0, "quantile": 1.0, "attack_step": 1.0, "role_threshold_sd": 0.0}
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in bounds.items()]
+    code, out, _ = run(capsys, *analyze_args(log_file, *flags))
     assert code == 0
     report = json.loads(out)
-    assert report["classification"] is None
-    assert report["classification_reason"] == "threshold_sd must be >= 0, got -1.0"
+    options = wardflow.report.AnalysisOptions(seed=3, sw_samples=2, **bounds)
+    assert report["config"] == wardflow.report._plain(options)
+    assert all(report[name] is not None for name in wardflow.SECTIONS)
+
+
+def test_config_keys_are_the_option_fields_and_the_schema_properties_in_order(log_file, capsys):
+    code, out, _ = run(capsys, *analyze_args(log_file, "--skip", "small_world"))
+    assert code == 0
+    schema = json.loads(resources.files("wardflow").joinpath("report_schema.json").read_text())
+    fields = [field.name for field in dataclasses.fields(wardflow.report.AnalysisOptions)]
+    assert list(json.loads(out)["config"]) == fields == list(schema["properties"]["config"]["properties"])
 
 
 @pytest.mark.parametrize("name, text, flags", [
@@ -295,6 +326,26 @@ def test_export_graphml_to_dot(log_file, tmp_path, capsys):
     code, out, _ = run(capsys, "export", net_file, "--to", "dot")
     assert code == 0
     assert out.startswith("digraph")
+
+
+@pytest.mark.parametrize("weight", ["1_0", "\u0663"])
+def test_export_of_an_edge_list_weight_other_than_ascii_digits_is_input_error(tmp_path, capsys, weight):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(f"from,to,weight\na,b,2\nb,c,{weight}\n", encoding="utf-8")
+    code, out, err = run(capsys, "export", edges, "--to", "edgelist")
+    assert code == 2 and out == ""
+    assert f"edge-list row ['b', 'c', {weight!r}]" in err
+
+
+@pytest.mark.parametrize("kind, weight", [("long", "1_0"), ("double", "1_0"), ("int", " \u0663 ")])
+def test_export_of_a_graphml_weight_other_than_an_ascii_number_is_input_error(tmp_path, capsys, kind, weight):
+    path = tmp_path / "net.graphml"
+    path.write_text(f'<graphml><key id="w" for="edge" attr.name="weight" attr.type="{kind}"/>'
+                    f'<graph edgedefault="directed"><edge source="a" target="b"><data key="w">{weight}</data>'
+                    f'</edge></graph></graphml>', encoding="utf-8")
+    code, out, err = run(capsys, "export", path, "--to", "edgelist")
+    assert code == 2 and out == ""
+    assert f"weight {weight!r} of edge ('a', 'b')" in err
 
 
 def test_version_flag(capsys):

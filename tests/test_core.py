@@ -92,7 +92,7 @@ def _count_core_builds(monkeypatch) -> list:
 def test_one_core_per_analysed_network(monkeypatch):
     net = log_built_network()
     built = _count_core_builds(monkeypatch)
-    report.build_report(net, boot=10, skip=("small_world",))
+    report.build_report(net, report.AnalysisOptions(boot=10, skip=("small_world",)))
     assert len(built) == 1 and built[0] is net
 
 
@@ -114,7 +114,8 @@ def test_default_report_indexes_the_projection_once(monkeypatch):
     monkeypatch.setattr(pool, "_worker_count", lambda tasks: 1)
     built = _count_core_builds(monkeypatch)
     samples = 2
-    out = report.build_report(net, boot=10, sw_samples=samples, sw_swaps=50, sw_lattice_swaps=200)
+    out = report.build_report(net, report.AnalysisOptions(boot=10, sw_samples=samples, sw_swaps=50,
+                                                             sw_lattice_swaps=200))
     assert out["small_world"] is not None
     assert built[0] is net and sum(member is net for member in built) == 1
     # the rest are rewired ensemble members, at most one core each; the
@@ -145,6 +146,6 @@ def test_knn_runs_once_per_report(monkeypatch):
         return original(network)
 
     monkeypatch.setattr(metrics, "knn", counting)
-    out = report.build_report(net, boot=10, skip=("small_world",))
+    out = report.build_report(net, report.AnalysisOptions(boot=10, skip=("small_world",)))
     assert len(calls) == 1
     assert out["fits"]["knn_degree"] is not None and out["node_metrics"]

@@ -64,6 +64,12 @@ def test_analyze_loads_numpy_and_scipy_only(loaded):
     assert loaded("analyze", "net.graphml", "--weighted-betweenness", *ANALYZE) == {"numpy", "scipy"}
 
 
+def test_checking_the_analyze_options_loads_no_numpy():
+    # the options are checked before the input is read; numpy loaded then would sit under the log parse's peak
+    probe = "import sys; from wardflow.report import AnalysisOptions; AnalysisOptions(); sys.exit('numpy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", probe], env=ENV, check=True, timeout=300)
+
+
 SYNTH = ("synth", "--model", "ba", "--n", "30", "--m", "2", "--journeys", "40", "--mean-stops", "5")
 
 
