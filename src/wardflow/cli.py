@@ -124,11 +124,21 @@ def _file_digest(paths: list[str]) -> str:
     return digest.hexdigest()
 
 
-def _write_output(payload: bytes, destination: str | None) -> None:
+def _output_error(exc: OSError) -> int:
+    """Report a path the command could not write; the bad path argument is a usage error."""
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _write_output(payload: bytes, destination: str | None) -> int:
     if destination is None or destination == "-":
         sys.stdout.buffer.write(payload)
-    else:
+        return EXIT_OK
+    try:
         Path(destination).write_bytes(payload)
+    except OSError as exc:
+        return _output_error(exc)
+    return EXIT_OK
 
 
 def cmd_build(args) -> int:
@@ -142,8 +152,7 @@ def cmd_build(args) -> int:
         f"rows read: {stats.rows_read}, rejected: {stats.rows_rejected} {dict(sorted(stats.rejections.items()))}",
         file=sys.stderr,
     )
-    _write_output(payload, args.output)
-    return EXIT_OK
+    return _write_output(payload, args.output)
 
 
 def _format_of(path: Path) -> str:
@@ -202,7 +211,10 @@ def cmd_analyze(args) -> int:
         return EXIT_INPUT
     report = report_mod.build_report(net, options, ingest=stats, digest=digest)
     if args.sidecar_dir:
-        _write_sidecars(report, net, args.sidecar_dir)
+        try:
+            _write_sidecars(report, net, args.sidecar_dir)
+        except OSError as exc:
+            return _output_error(exc)
     text = json.dumps(report, indent=2, allow_nan=False)
     print(text)
     return EXIT_ANALYSIS if report.get("all_sections_failed") else EXIT_OK
@@ -222,9 +234,8 @@ def cmd_synth(args) -> int:
         return EXIT_INPUT
     buffer = io.StringIO()
     synth_mod.write_event_log_csv(journeys, buffer)
-    _write_output(buffer.getvalue().encode("utf-8"), args.output)
     print(f"journeys: {len(journeys)}, truncated: {stats.truncated_journeys}", file=sys.stderr)
-    return EXIT_OK
+    return _write_output(buffer.getvalue().encode("utf-8"), args.output)
 
 
 def cmd_export(args) -> int:
@@ -236,8 +247,7 @@ def cmd_export(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _write_output(payload, args.output)
-    return EXIT_OK
+    return _write_output(payload, args.output)
 
 
 def _build_parser() -> _Parser:

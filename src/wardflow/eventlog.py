@@ -131,6 +131,22 @@ def _text_stream(source: IO | str) -> Iterator[IO[str]]:
             stream.detach()  # closing the wrapper would close the caller's handle
 
 
+@contextmanager
+def csv_rows(source: IO | str, kind: str, delimiter: str = ",") -> Iterator[Iterator[list[str]]]:
+    """A csv.reader over `_text_stream(source)`.
+
+    A csv.Error raised in the block, such as a field over the csv module's
+    size limit or a bare carriage return in an unquoted field, becomes a
+    ValueError that names the file kind and the line the reader reached.
+    """
+    with _text_stream(source) as stream:
+        reader = csv.reader(stream, delimiter=delimiter)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ValueError(f"{kind} line {reader.line_num}: {exc}") from exc
+
+
 def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[list[LocationEvent], IngestStats]:
     """Read a delimited event log with a header row into LocationEvents.
 
@@ -145,8 +161,7 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
     repeated in the header means its last column. Equal admission ids and
     locations share one string object.
     """
-    with _text_stream(source) as stream:
-        reader = csv.reader(stream, delimiter=schema.delimiter)
+    with csv_rows(source, "event log", schema.delimiter) as reader:
         header = next(reader, None) or []
         for column in (schema.admission_column, schema.location_column, schema.timestamp_column):
             if column not in header:
@@ -246,8 +261,8 @@ def read_category_map(source: IO | str, default_policy: str = KEEP_AS_IS, delimi
     """
     _check_delimiter(delimiter)
     entries: dict[str, str] = {}
-    with _text_stream(source) as stream:
-        for i, row in enumerate(csv.reader(stream, delimiter=delimiter)):
+    with csv_rows(source, "category map", delimiter) as reader:
+        for i, row in enumerate(reader):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < 2:

@@ -11,7 +11,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
 from xml.etree import ElementTree
 
-from .eventlog import AdmissionJourney
+from .eventlog import AdmissionJourney, csv_rows
 
 if TYPE_CHECKING:
     from .paths import GraphCore
@@ -146,33 +146,33 @@ def _export_edgelist(net: TransferNetwork) -> bytes:
 
 
 def _import_edgelist(data: bytes, directed: bool) -> TransferNetwork:
-    reader = csv.reader(io.StringIO(data.decode("utf-8-sig")))
-    header = next(reader, None)
-    if header != EDGE_LIST_HEADER:
-        raise ValueError(f"expected header {EDGE_LIST_HEADER}, got {header}")
-    nodes: set[str] = set()
-    edges: dict[tuple[str, str], int] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"edge-list row {row} does not have three columns")
-        if not _DIGITS.fullmatch(row[2]):
-            raise ValueError(f"edge-list row {row} has weight {row[2]!r}, not ASCII digits")
-        u, v, weight = row[0], row[1], int(row[2])
-        if u == "":
-            raise ValueError(f"edge-list row {row} has an empty source")
-        if v == "":
-            if weight != 0:
-                raise ValueError(f"edge-list row {row} has an empty target but weight {weight}, not 0")
-            nodes.add(u)
-            continue
-        nodes.update((u, v))
-        if not directed and u > v:
-            u, v = v, u
-        if (u, v) in edges:
-            raise ValueError(f"duplicate edge-list row for ({u!r}, {v!r})")
-        edges[(u, v)] = weight
+    with csv_rows(io.StringIO(data.decode("utf-8-sig")), "edge list") as reader:
+        header = next(reader, None)
+        if header != EDGE_LIST_HEADER:
+            raise ValueError(f"expected header {EDGE_LIST_HEADER}, got {header}")
+        nodes: set[str] = set()
+        edges: dict[tuple[str, str], int] = {}
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"edge-list row {row} does not have three columns")
+            if not _DIGITS.fullmatch(row[2]):
+                raise ValueError(f"edge-list row {row} has weight {row[2]!r}, not ASCII digits")
+            u, v, weight = row[0], row[1], int(row[2])
+            if u == "":
+                raise ValueError(f"edge-list row {row} has an empty source")
+            if v == "":
+                if weight != 0:
+                    raise ValueError(f"edge-list row {row} has an empty target but weight {weight}, not 0")
+                nodes.add(u)
+                continue
+            nodes.update((u, v))
+            if not directed and u > v:
+                u, v = v, u
+            if (u, v) in edges:
+                raise ValueError(f"duplicate edge-list row for ({u!r}, {v!r})")
+            edges[(u, v)] = weight
     return TransferNetwork(frozenset(nodes), edges, directed=directed)
 
 

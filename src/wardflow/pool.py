@@ -2,14 +2,21 @@
 
 The small-world ensemble members, the tail bootstrap's replicate blocks and
 the betweenness source groups run here. Every task draws from its own seed
-or sums a fixed share of the work, so the results do not depend on how
-many workers run them.
+(`derive_seed`) or sums a fixed share of the work, so the results do not
+depend on how many workers run them.
 """
 from __future__ import annotations
 
 import os
 import threading
 from typing import Callable, Sequence
+
+
+def derive_seed(*key: int) -> int:
+    """The seed of the task that `key` names, such as (master seed, section) or (seed, tag, member)."""
+    import numpy as np
+
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
 def _worker_count(tasks: int) -> int:

@@ -7,7 +7,7 @@ log-likelihood); xmin is chosen by scanning observed values for the
 smallest Kolmogorov-Smirnov distance between the empirical tail CDF and
 the fitted model. Goodness of fit uses the semi-parametric bootstrap:
 synthesize datasets from the fitted model (empirical resampling below
-xmin), refit each with the same policy, and report the fraction of
+xmin), refit each with the same xmin scan, and report the fraction of
 replicates whose KS distance reaches the observed one.
 """
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .metrics import NodeMetrics
 from .network import TransferNetwork
 
 SCAN = "scan"
-FIXED = "fixed"
 
 STRENGTH_DEGREE = "strength-degree-powerlaw"
 BETWEENNESS_DEGREE = "betweenness-degree-quadratic"
@@ -130,7 +129,7 @@ def _zeta_at(gammas: np.ndarray, values: np.ndarray, csum: np.ndarray, norms: np
     if inside.any():
         vi = values[inside].astype(np.int64)
         prefix_hi = csum[:, vi - 1]
-        # sum over 1..xmin-1 = sum over 1..xmin minus xmin^-g (works for xmin=1)
+        # sum over 1..xmin-1 = sum over 1..xmin minus xmin^-g (works for an xmin of 1)
         xm_idx = np.minimum(xmin.astype(np.int64), dense_limit) - 1
         prefix_lo = csum[rows, xm_idx] - np.exp(-gammas * np.log(xmin.astype(float)))
         out[:, inside] = norms[:, None] - (prefix_hi - prefix_lo[:, None])
@@ -167,9 +166,9 @@ def _ks_distances(x: np.ndarray, uniq: np.ndarray, counts_le: np.ndarray,
 class _Candidates(NamedTuple):
     """A sample prepared for the fit, with its xmin candidates.
 
-    `cand` holds every observed value but the largest under the scan, or the
-    fixed xmin; `cand_first` is the index of each one's first occurrence in
-    the sorted sample `x`, and `log_sum` the sum of logs of its tail.
+    `cand` holds every observed value but the largest; `cand_first` is the
+    index of each one's first occurrence in the sorted sample `x`, and
+    `log_sum` the sum of logs of its tail.
     """
 
     x: np.ndarray
@@ -178,39 +177,18 @@ class _Candidates(NamedTuple):
     cand: np.ndarray
     cand_first: np.ndarray
     log_sum: np.ndarray
-    policy: str
 
 
-def _candidates(samples: Iterable[int], xmin: int | None) -> _Candidates:
+def _candidates(samples: Iterable[int]) -> _Candidates:
     """The sample prepared and checked as `fit_tail` does, raising its ValueErrors."""
     x = _prepare(samples)
-    n = len(x)
-    log_x = np.log(x.astype(float))
-    suffix_log_sum = np.concatenate([np.cumsum(log_x[::-1])[::-1], [0.0]])
     uniq, first_idx = np.unique(x, return_index=True)
+    if len(uniq) < 2:
+        raise ValueError("degenerate tail: fewer than 2 distinct values")
+    suffix_log_sum = np.cumsum(np.log(x.astype(float))[::-1])[::-1]
     counts_le = np.searchsorted(x, uniq, side="right")
-
-    if xmin is None:
-        if len(uniq) < 2:
-            raise ValueError("degenerate tail: fewer than 2 distinct values")
-        cand = uniq[:-1]
-        cand_first = first_idx[:-1]
-        policy = SCAN
-    else:
-        if xmin < 1:
-            raise ValueError("xmin must be a positive integer")
-        if xmin < int(x[0]):
-            raise ValueError(f"xmin {xmin} below smallest observed value {int(x[0])}")
-        pos = int(np.searchsorted(x, xmin, side="left"))
-        tail_uniq = uniq[uniq >= xmin]
-        if n - pos < 2:
-            raise ValueError("too few tail samples (n_tail < 2)")
-        if len(tail_uniq) < 2:
-            raise ValueError("degenerate tail: fewer than 2 distinct values above xmin")
-        cand = np.array([xmin], dtype=np.int64)
-        cand_first = np.array([pos], dtype=np.int64)
-        policy = FIXED
-    return _Candidates(x, uniq, counts_le, cand, cand_first, suffix_log_sum[cand_first], policy)
+    cand_first = first_idx[:-1]
+    return _Candidates(x, uniq, counts_le, uniq[:-1], cand_first, suffix_log_sum[cand_first])
 
 
 def _fit_group(group: list[_Candidates]) -> list[PowerLawFit]:
@@ -229,17 +207,13 @@ def _fit_group(group: list[_Candidates]) -> list[PowerLawFit]:
         start += len(setup.cand)
         ks = _ks_distances(setup.x, setup.uniq, setup.counts_le, setup.cand, setup.cand_first, sample_gammas)
         best = int(np.argmin(ks))  # argmin keeps the first (smallest) xmin on ties
-        fits.append(PowerLawFit(
-            gamma=float(sample_gammas[best]),
-            xmin=int(setup.cand[best]),
-            n_tail=int(n_tail[best]),
-            ks_stat=float(ks[best]),
-            xmin_policy=setup.policy,
-        ))
+        # gamma, xmin, n_tail and the KS distance of the best candidate
+        fits.append(PowerLawFit(float(sample_gammas[best]), int(setup.cand[best]), int(n_tail[best]),
+                                float(ks[best])))
     return fits
 
 
-def _fit_tails(samples: Iterable[Iterable[int]], xmin: int | None = None) -> list[PowerLawFit | ValueError]:
+def _fit_tails(samples: Iterable[Iterable[int]]) -> list[PowerLawFit | ValueError]:
     """`fit_tail` of each sample, in order; a sample it cannot fit gives the ValueError it raises.
 
     Samples are prepared and checked one at a time, and fitted in groups
@@ -252,7 +226,7 @@ def _fit_tails(samples: Iterable[Iterable[int]], xmin: int | None = None) -> lis
     held = 0
     for sample in samples:
         try:
-            setup = _candidates(sample, xmin)
+            setup = _candidates(sample)
         except ValueError as exc:
             results.append(exc)
             continue
@@ -270,14 +244,14 @@ def _fit_tails(samples: Iterable[Iterable[int]], xmin: int | None = None) -> lis
     return results
 
 
-def fit_tail(samples: Iterable[int], xmin: int | None = None) -> PowerLawFit:
-    """Fit the discrete power-law tail; xmin=None scans all observed values.
+def fit_tail(samples: Iterable[int]) -> PowerLawFit:
+    """Fit the discrete power-law tail, scanning every observed value but the largest for xmin.
 
-    Under the scan, the chosen xmin minimizes the KS distance, with ties
-    broken toward the smaller xmin. Raises ValueError when fewer than two
-    distinct values remain at or above the threshold.
+    The chosen xmin minimizes the KS distance, with ties broken toward the
+    smaller xmin. Raises ValueError when the sample holds fewer than two
+    distinct values.
     """
-    (fit,) = _fit_tails([samples], xmin)
+    (fit,) = _fit_tails([samples])
     if isinstance(fit, ValueError):
         raise fit
     return fit
@@ -344,26 +318,26 @@ def _replicate_rng(seed: int, op_tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, op_tag, index)))
 
 
-def _refit_xmin(fit: PowerLawFit) -> int | None:
-    """The xmin a replicate is refit with: the fit's own under FIXED, a fresh scan under SCAN."""
-    return fit.xmin if fit.xmin_policy == FIXED else None
+def _refits(block, args: tuple, n_boot: int, size: int) -> list[PowerLawFit]:
+    """The refits that `block(*args, indices)` makes of n_boot replicates of `size` values, failures left out.
 
-
-def _check_failures(failed: int, n_boot: int) -> None:
+    A small bootstrap runs as one block in this process, a larger one on
+    `pool.map_blocks`. More than 10% failed refits is an error.
+    """
+    if n_boot * size < _POOL_MIN_DRAWS:
+        results = block(*args, range(n_boot))
+    else:
+        results = pool.map_blocks(block, args, n_boot)
+    refits = [refit for refit in results if not isinstance(refit, ValueError)]
+    failed = n_boot - len(refits)
     if failed > 0.1 * n_boot:
         raise ValueError(f"{failed}/{n_boot} bootstrap replicates failed to refit")
-
-
-def _replicate_blocks(func, args: tuple, n_boot: int, size: int) -> list:
-    """`pool.map_blocks` over the replicates, or one block in this process for a small bootstrap."""
-    if n_boot * size < _POOL_MIN_DRAWS:
-        return func(*args, range(n_boot))
-    return pool.map_blocks(func, args, n_boot)
+    return refits
 
 
 def _gof_block(fit: PowerLawFit, below: np.ndarray, n: int, table: tuple[float, np.ndarray], seed: int,
-               block: range) -> list[float | None]:
-    """Refit KS distance of each goodness-of-fit replicate in the block; None where the refit fails."""
+               block: range) -> list[PowerLawFit | ValueError]:
+    """`_fit_tails` of the block's goodness-of-fit replicates."""
     p_below = len(below) / n
 
     def replicates():
@@ -377,8 +351,7 @@ def _gof_block(fit: PowerLawFit, below: np.ndarray, n: int, table: tuple[float, 
                 parts.append(_draw_tail(fit.gamma, fit.xmin, table, n - n_below, rng))
             yield np.concatenate(parts)
 
-    return [None if isinstance(refit, ValueError) else refit.ks_stat
-            for refit in _fit_tails(replicates(), _refit_xmin(fit))]
+    return _fit_tails(replicates())
 
 
 def gof_pvalue(fit: PowerLawFit, samples: Iterable[int], n_boot: int, seed: int) -> float:
@@ -386,43 +359,36 @@ def gof_pvalue(fit: PowerLawFit, samples: Iterable[int], n_boot: int, seed: int)
 
     p is the fraction of synthetic replicates whose refit KS distance is at
     least the observed one; deterministic given the seed. Replicates that
-    fail to refit are excluded; more than 10% failures is an error.
-    Contiguous blocks of replicates run on the usable CPUs, or in this process
-    when the bootstrap is small, each replicate from its own seed, so p does
-    not depend on the number of workers.
+    fail to refit are excluded; more than 10% failures is an error. Each
+    replicate draws from its own seed, so p does not depend on the number
+    of workers.
     """
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     x = _prepare(samples)
     table = _inverse_cdf(fit.gamma, fit.xmin)
-    ks = _replicate_blocks(_gof_block, (fit, x[x < fit.xmin], len(x), table, seed), n_boot, len(x))
-    failed = ks.count(None)
-    _check_failures(failed, n_boot)
-    exceed = sum(1 for value in ks if value is not None and value >= fit.ks_stat)
-    return exceed / (n_boot - failed)
+    refits = _refits(_gof_block, (fit, x[x < fit.xmin], len(x), table, seed), n_boot, len(x))
+    return sum(1 for refit in refits if refit.ks_stat >= fit.ks_stat) / len(refits)
 
 
-def _ci_block(x: np.ndarray, xmin: int | None, seed: int, block: range) -> list[float | None]:
-    """Refit gamma of each resampling replicate in the block; None where the refit fails."""
-    replicates = (x[_replicate_rng(seed, 2, i).integers(0, len(x), size=len(x))] for i in block)
-    return [None if isinstance(refit, ValueError) else refit.gamma for refit in _fit_tails(replicates, xmin)]
+def _ci_block(x: np.ndarray, seed: int, block: range) -> list[PowerLawFit | ValueError]:
+    """`_fit_tails` of the block's resampling replicates."""
+    return _fit_tails(x[_replicate_rng(seed, 2, i).integers(0, len(x), size=len(x))] for i in block)
 
 
-def bootstrap_ci(samples: Iterable[int], n_boot: int, seed: int, xmin: int | None = None) -> tuple[float, float]:
+def bootstrap_ci(samples: Iterable[int], n_boot: int, seed: int) -> tuple[float, float]:
     """Nonparametric 95% percentile interval for gamma under resample-and-refit."""
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     x = _prepare(samples)
-    return _bootstrap_ci(x, fit_tail(x, xmin=xmin), n_boot, seed)
+    return _bootstrap_ci(x, fit_tail(x), n_boot, seed)
 
 
 def _bootstrap_ci(x: np.ndarray, reference: PowerLawFit, n_boot: int, seed: int) -> tuple[float, float]:
     """`bootstrap_ci` of the prepared sample x, whose fit `reference` already is."""
-    refits = _replicate_blocks(_ci_block, (x, _refit_xmin(reference), seed), n_boot, len(x))
-    gammas = [gamma for gamma in refits if gamma is not None]
-    _check_failures(n_boot - len(gammas), n_boot)
+    refits = _refits(_ci_block, (x, seed), n_boot, len(x))
     alpha = (1.0 - _CI_LEVEL) / 2.0
-    lo, hi = np.quantile(np.asarray(gammas), [alpha, 1.0 - alpha])
+    lo, hi = np.quantile(np.asarray([refit.gamma for refit in refits]), [alpha, 1.0 - alpha])
     # the interval always brackets the point estimate
     return min(float(lo), reference.gamma), max(float(hi), reference.gamma)
 

@@ -14,13 +14,7 @@ from . import resilience as resilience_mod
 from . import smallworld as smallworld_mod
 from .eventlog import IngestStats
 from .network import TransferNetwork, as_symmetric_directed, undirected_projection
-
-
-def derive_seed(master: int, domain: int) -> int:
-    """Stable per-component sub-seed from the single master seed."""
-    import numpy as np
-
-    return int(np.random.SeedSequence((master, domain)).generate_state(1)[0])
+from .pool import derive_seed
 
 
 class DerivedSeeds(NamedTuple):

@@ -254,10 +254,6 @@ def latticize(net: TransferNetwork, seed: int = 0, n_swaps: int | None = None) -
     return RewireResult(rewired, attempted, accepted)
 
 
-def _member_seed(seed: int, tag: int, index: int) -> int:
-    return int(np.random.SeedSequence((seed, tag, index)).generate_state(1)[0])
-
-
 _RANDOM_TAG = 1
 _LATTICE_TAG = 2
 
@@ -266,7 +262,7 @@ def _ensemble_member(net: TransferNetwork, seed: int, n_swaps: int, lattice_swap
                      task: tuple[int, int]) -> tuple[int, float | None, float | None]:
     """One reference member: (accepted swaps, C, L); L is None for lattices."""
     tag, index = task
-    member_seed = _member_seed(seed, tag, index)
+    member_seed = pool.derive_seed(seed, tag, index)
     if tag == _RANDOM_TAG:
         result = rewire_random(net, n_swaps, seed=member_seed)
         path_length, _ = metrics_mod.avg_shortest_path(result.network, metrics_mod.PROJECTION_SCOPE)

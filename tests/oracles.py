@@ -22,7 +22,7 @@ import numpy as np
 
 from wardflow.eventlog import CategoryMap, IngestStats, LogSchema, SchemaError
 from wardflow.network import TransferNetwork
-from wardflow.powerlaw import FIXED, PowerLawFit, _prepare, _replicate_rng, fit_tail, sample_tail
+from wardflow.powerlaw import PowerLawFit, _prepare, _replicate_rng, fit_tail, sample_tail
 from wardflow.synth import CONFIGURATION, PREFERENTIAL_ATTACHMENT, RING_REWIRE, ModelSpec, node_label
 
 
@@ -424,11 +424,6 @@ def networkx_read_graphml(data: bytes) -> TransferNetwork:
 # replicate at a time, each drawn, then refit by its own fit_tail call.
 
 
-def _ref_refit(replicate: np.ndarray, fit: PowerLawFit) -> PowerLawFit:
-    fixed = fit.xmin if fit.xmin_policy == FIXED else None
-    return fit_tail(replicate, xmin=fixed)
-
-
 def ref_gof_pvalue(fit: PowerLawFit, samples, n_boot: int, seed: int) -> float:
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
@@ -449,7 +444,7 @@ def ref_gof_pvalue(fit: PowerLawFit, samples, n_boot: int, seed: int) -> float:
             parts.append(sample_tail(fit.gamma, fit.xmin, n - n_below, rng))
         replicate = np.concatenate(parts)
         try:
-            refit = _ref_refit(replicate, fit)
+            refit = fit_tail(replicate)
         except ValueError:
             failed += 1
             continue
@@ -461,19 +456,18 @@ def ref_gof_pvalue(fit: PowerLawFit, samples, n_boot: int, seed: int) -> float:
     return exceed / usable
 
 
-def ref_bootstrap_ci(samples, n_boot: int, seed: int, level: float = 0.95,
-                     xmin: int | None = None) -> tuple[float, float]:
+def ref_bootstrap_ci(samples, n_boot: int, seed: int, level: float = 0.95) -> tuple[float, float]:
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     x = _prepare(samples)
-    reference = fit_tail(x, xmin=xmin)
+    reference = fit_tail(x)
     gammas = []
     failed = 0
     for i in range(n_boot):
         rng = _replicate_rng(seed, 2, i)
         replicate = x[rng.integers(0, len(x), size=len(x))]
         try:
-            gammas.append(_ref_refit(replicate, reference).gamma)
+            gammas.append(fit_tail(replicate).gamma)
         except ValueError:
             failed += 1
     if failed > 0.1 * n_boot:

@@ -591,3 +591,58 @@ def test_log_ingest_pauses_the_collector_and_restores_its_state(log_file, tmp_pa
             cli._network_from_log(args.log, args)
     assert seen == [False]
     assert gc.isenabled() is enabled
+
+
+# the csv module rejects a field longer than this many characters
+LONG_FIELD = "x" * 200_000
+
+
+@pytest.mark.parametrize("argv", [["build"], ["analyze", "--from-log", "--skip", "small_world"]])
+def test_event_log_the_csv_module_rejects_is_input_error(tmp_path, capsys, argv):
+    log = tmp_path / "log.csv"
+    log.write_text(LOG + f"a4,{LONG_FIELD},2016-03-03T08:00\n")
+    code, out, err = run(capsys, argv[0], log, *argv[1:])
+    assert (code, out) == (2, "")
+    assert "input error: event log line 10: field larger than field limit" in err
+
+
+@pytest.mark.parametrize("argv", [["build"], ["analyze", "--from-log", "--skip", "small_world"]])
+def test_category_map_the_csv_module_rejects_is_input_error(log_file, tmp_path, capsys, argv):
+    categories = tmp_path / "map.csv"
+    categories.write_text(CATEGORIES + f"CT,{LONG_FIELD}\n")
+    code, out, err = run(capsys, argv[0], log_file, "--categories", categories, *argv[1:])
+    assert (code, out) == (2, "")
+    assert "input error: category map line 4: field larger than field limit" in err
+
+
+@pytest.mark.parametrize("command", [["export", "--to", "dot"], ["analyze", "--skip", "small_world"]])
+@pytest.mark.parametrize("row, problem", [(f"a,{LONG_FIELD},1", "field larger than field limit"),
+                                          ("a\rb,c,1", "new-line character seen in unquoted field")],
+                         ids=["long-field", "bare-carriage-return"])
+def test_edge_list_the_csv_module_rejects_is_input_error(tmp_path, capsys, command, row, problem):
+    edges = tmp_path / "edges.csv"
+    edges.write_bytes(f"from,to,weight\n{row}\n".encode())
+    code, out, err = run(capsys, command[0], edges, *command[1:])
+    assert (code, out) == (2, "")
+    assert f"input error: edge list line 2: {problem}" in err
+
+
+@pytest.mark.parametrize("command", [["build", "{log}"], ["export", "{net}", "--to", "dot"],
+                                     ["synth", "--model", "ba", "--n", "10", "--m", "2", "--journeys", "5"]])
+def test_output_to_a_missing_directory_is_usage_error(log_file, tmp_path, capsys, command):
+    net = tmp_path / "net.graphml"
+    assert run(capsys, "build", log_file, "-o", net)[0] == 0
+    target = tmp_path / "missing" / "out"
+    argv = [arg.format(log=log_file, net=net) for arg in command]
+    code, out, err = run(capsys, *argv, "-o", target)
+    assert (code, out) == (1, "")
+    assert f"error: cannot write output: [Errno 2] No such file or directory: '{target}'" in err
+    assert not target.parent.exists()
+
+
+def test_analyze_sidecar_dir_naming_a_file_is_usage_error(log_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(capsys, *analyze_args(log_file, "--sidecar-dir", taken))
+    assert (code, out) == (1, "")
+    assert f"error: cannot write output: [Errno 17] File exists: '{taken}'" in err

@@ -44,7 +44,8 @@ def grid_maximize(samples, xmin):
 
 def test_mle_matches_numeric_maximization_two_values():
     samples = [2] * 40 + [5] * 10
-    fit = fit_tail(samples, xmin=2)
+    fit = fit_tail(samples)
+    assert fit.xmin == 2
     assert fit.gamma == pytest.approx(grid_maximize(samples, 2), abs=1e-6)
 
 
@@ -58,26 +59,6 @@ def test_mle_matches_numeric_maximization_scanned():
 def test_all_samples_equal_is_degenerate():
     with pytest.raises(ValueError):
         fit_tail([4] * 100)
-
-
-def test_tail_below_xmin_never_changes_gamma():
-    rng = np.random.default_rng(9)
-    tail = sample_tail(2.5, 10, 500, rng)
-    fit_pure = fit_tail(tail, xmin=10)
-    padded = np.concatenate([tail, rng.integers(1, 10, size=300)])
-    fit_padded = fit_tail(padded, xmin=10)
-    assert fit_padded.gamma == pytest.approx(fit_pure.gamma, abs=1e-12)
-    assert fit_padded.n_tail == fit_pure.n_tail
-
-
-def test_fixed_xmin_below_observed_minimum_rejected():
-    with pytest.raises(ValueError):
-        fit_tail([5, 6, 7, 8], xmin=2)
-
-
-def test_too_few_tail_samples():
-    with pytest.raises(ValueError):
-        fit_tail([1, 1, 1, 9], xmin=9)
 
 
 def test_scan_ties_prefer_smaller_xmin():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import ref_bootstrap_ci, ref_gof_pvalue
 from wardflow import pool, powerlaw
-from wardflow.powerlaw import FIXED, SCAN, analyze_tail, bootstrap_ci, fit_tail, gof_pvalue, sample_tail
+from wardflow.powerlaw import analyze_tail, bootstrap_ci, fit_tail, gof_pvalue, sample_tail
 
 
 @pytest.fixture(autouse=True)
@@ -35,23 +35,20 @@ small_samples = st.lists(st.integers(1, 12), min_size=3, max_size=30)
 
 @st.composite
 def bootstrap_cases(draw):
-    samples = draw(small_samples)
-    policy = draw(st.sampled_from([SCAN, FIXED]))
-    xmin = draw(st.sampled_from(sorted(set(samples)))) if policy == FIXED else None
-    return samples, xmin, draw(st.integers(1, 20)), draw(st.integers(0, 2**32 - 1))
+    return draw(small_samples), draw(st.integers(1, 20)), draw(st.integers(0, 2**32 - 1))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @given(case=bootstrap_cases())
 @settings(max_examples=25, deadline=None)
 def test_blocked_bootstrap_equals_the_replicate_loop(workers, case):
-    samples, xmin, n_boot, seed = case
+    samples, n_boot, seed = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pool, "_worker_count", lambda tasks: min(workers, tasks))
-        ci = outcome(lambda: bootstrap_ci(samples, n_boot, seed, xmin=xmin))
-        fit = outcome(lambda: fit_tail(samples, xmin=xmin))
+        ci = outcome(lambda: bootstrap_ci(samples, n_boot, seed))
+        fit = outcome(lambda: fit_tail(samples))
         p = outcome(lambda: gof_pvalue(fit, samples, n_boot, seed)) if isinstance(fit, powerlaw.PowerLawFit) else None
-    assert ci == outcome(lambda: ref_bootstrap_ci(samples, n_boot, seed, xmin=xmin))
+    assert ci == outcome(lambda: ref_bootstrap_ci(samples, n_boot, seed))
     if p is not None:
         assert p == outcome(lambda: ref_gof_pvalue(fit, samples, n_boot, seed))
 
@@ -79,21 +76,20 @@ def test_paper_scale_bootstrap_equals_the_loop(monkeypatch):
 
 
 @pytest.mark.parametrize("group", [1, 5, 1 << 16])
-@given(samples=st.lists(small_samples, max_size=12), fixed=st.integers(1, 12) | st.none())
+@given(samples=st.lists(small_samples, max_size=12))
 @settings(max_examples=60, deadline=None)
-def test_batched_fitter_equals_fit_tail_per_sample(group, samples, fixed):
+def test_batched_fitter_equals_fit_tail_per_sample(group, samples):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(powerlaw, "_GROUP_CANDIDATES", group)
         batched = [("ValueError", str(fit)) if isinstance(fit, ValueError) else fit
-                   for fit in powerlaw._fit_tails(iter(samples), fixed)]
-    assert batched == [outcome(lambda: fit_tail(sample, xmin=fixed)) for sample in samples]
+                   for fit in powerlaw._fit_tails(iter(samples))]
+    assert batched == [outcome(lambda: fit_tail(sample)) for sample in samples]
 
 
 def test_batched_fitter_equals_fit_tail_on_large_samples():
     rng = np.random.default_rng(2)
     samples = [sample_tail(gamma, 1, 3000, rng) for gamma in (2.5, 3.5, 2.5, 3.5)]
     assert powerlaw._fit_tails(samples) == [fit_tail(sample) for sample in samples]
-    assert powerlaw._fit_tails(samples, 3) == [fit_tail(sample, xmin=3) for sample in samples]
 
 
 def test_sampler_table_built_once_draws_what_sample_tail_draws():
@@ -140,3 +136,26 @@ def test_a_small_bootstrap_runs_in_this_process(monkeypatch, n_boot, pooled):
     monkeypatch.setattr(pool, "_worker_count", lambda tasks: min(2, tasks))
     assert (gof_pvalue(fit, samples, n_boot, 5), bootstrap_ci(samples, n_boot, 5)) == expected
     assert calls == ([n_boot, n_boot] if pooled else [])
+
+
+def _first_fail(k, block):
+    """A stub replicate block: replicates below k fail to refit, replicate i >= k refits to i."""
+    return [ValueError("no refit") if i < k else i for i in block]
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_refits_allow_a_tenth_of_the_replicates_to_fail(monkeypatch, pooled):
+    monkeypatch.setattr(powerlaw, "_POOL_MIN_DRAWS", 0 if pooled else 401)  # 40 replicates of 10 values
+    monkeypatch.setattr(pool, "_worker_count", lambda tasks: min(2, tasks))
+    calls = []
+    original = pool.map_blocks
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(pool, "map_blocks", counting)
+    assert powerlaw._refits(_first_fail, (4,), 40, 10) == list(range(4, 40))
+    with pytest.raises(ValueError, match="^5/40 bootstrap replicates failed to refit$"):
+        powerlaw._refits(_first_fail, (5,), 40, 10)
+    assert calls == ([40, 40] if pooled else [])
