@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Literal, Mapping
 
 import numpy as np
 
@@ -18,10 +18,14 @@ DISTRIBUTOR = "distributor"
 RECEIVER = "receiver"
 BALANCED = "balanced"
 
+# the values of the tables' label maps; the report schema lists them as enums
+Quadrant = Literal[HUB_BOTTLENECK, HUB_NON_BOTTLENECK, NON_HUB_BOTTLENECK, NEITHER]
+Role = Literal[DISTRIBUTOR, RECEIVER, BALANCED]
+
 
 @dataclass(frozen=True)
 class HubBottleneckTable:
-    quadrants: Mapping[str, str]
+    quadrants: Mapping[str, Quadrant]
     degree_threshold: float
     betweenness_threshold: float
     quantile: float
@@ -29,7 +33,7 @@ class HubBottleneckTable:
 
 @dataclass(frozen=True)
 class RoleTable:
-    labels: Mapping[str, str]
+    labels: Mapping[str, Role]
     threshold: float
     threshold_sd: float
 

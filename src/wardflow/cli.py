@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import gc
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -128,6 +130,21 @@ def _output_error(exc: OSError) -> int:
     """Report a path the command could not write; the bad path argument is a usage error."""
     print(f"error: cannot write output: {exc}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _check_destinations(args) -> None:
+    """Raise, before any input is read, the OSError that writing the command's output would meet.
+
+    That is an `-o` file whose directory is missing, or a `--sidecar-dir`
+    that names an existing file.
+    """
+    output = getattr(args, "output", None)
+    if output not in (None, "-") and not Path(output).parent.is_dir():
+        code = errno.ENOTDIR if Path(output).parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), output)
+    sidecars = getattr(args, "sidecar_dir", None)
+    if sidecars and Path(sidecars).exists() and not Path(sidecars).is_dir():
+        raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), sidecars)
 
 
 def _write_output(payload: bytes, destination: str | None) -> int:
@@ -318,6 +335,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"seed must be >= 0, got {args.seed}")
     except SystemExit as exc:
         return int(exc.code or 0)
+    try:
+        _check_destinations(args)
+    except OSError as exc:
+        return _output_error(exc)
     return args.func(args)
 
 

@@ -144,7 +144,11 @@ def csv_rows(source: IO | str, kind: str, delimiter: str = ",") -> Iterator[Iter
         try:
             yield reader
         except csv.Error as exc:
-            raise ValueError(f"{kind} line {reader.line_num}: {exc}") from exc
+            message = str(exc)
+            if message.startswith("new-line character seen in unquoted field"):
+                # the csv module suggests universal-newline mode, which would split the field instead
+                message = "carriage return inside an unquoted field; a field that holds one must be quoted"
+            raise ValueError(f"{kind} line {reader.line_num}: {message}") from exc
 
 
 def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[list[LocationEvent], IngestStats]:

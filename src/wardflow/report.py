@@ -1,10 +1,13 @@
 """Assemble the JSON analysis report from the individual analysis sections."""
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import functools
 import math
-from typing import Any, Callable, Mapping, NamedTuple
+import types
+import typing
+from typing import Any, Callable, Literal, Mapping, NamedTuple
 
 from . import SECTIONS, __version__
 from . import classify as classify_mod
@@ -75,6 +78,40 @@ class AnalysisOptions:
         return self.derived_seeds
 
 
+class Tool(NamedTuple):
+    name: Literal["wardflow"]
+    version: str
+
+
+class Input(NamedTuple):
+    digest: str | None  # sha256 hex of the input file, or of an event log and its category map
+
+
+class ReportHead(NamedTuple):
+    """The entries every report opens with; the sections follow, in `SECTIONS` order."""
+
+    tool: Tool
+    input: Input
+    config: AnalysisOptions
+
+
+class NetworkSummary(NamedTuple):
+    nodes: int
+    edges: int
+    total_weight: int
+    directed: bool
+    categorised_nodes: int
+
+
+class Classification(NamedTuple):
+    hubs_bottlenecks: classify_mod.HubBottleneckTable
+    roles: classify_mod.RoleTable
+
+
+# the parts of the `fits` section, in report order; each is captured on its own, as a section is
+FIT_PARTS = ("degree_tail", "strength_degree", "betweenness_degree", "knn_degree")
+
+
 @functools.cache
 def _field_names(cls: type) -> tuple[str, ...] | None:
     """Field names of a dataclass or named tuple type, else None; cached, as node rows come in thousands."""
@@ -121,6 +158,79 @@ def _capture(out: dict[str, Any], key: str, producer: Callable[[], Any]) -> bool
     return False
 
 
+class _Sections:
+    """The producers of a report's entries: one method per name in `SECTIONS` and in `FIT_PARTS`.
+
+    Each method's return annotation is the type that its entry is written
+    from, and `report_schema` reads it.
+    """
+
+    def __init__(self, net: TransferNetwork, options: AnalysisOptions, ingest: IngestStats | None):
+        self.net = net
+        self.directed = as_symmetric_directed(net)
+        self.options = options
+        self.seeds = options.derived_seeds
+        self.ingest_stats = ingest
+
+    @functools.cached_property
+    def nodes(self) -> dict[str, metrics_mod.NodeMetrics]:
+        return metrics_mod.compute_node_metrics(self.directed, betweenness_weighted=self.options.weighted_betweenness)
+
+    def ingest(self) -> IngestStats:
+        if self.ingest_stats is None:
+            raise ValueError("no ingest performed for this input")
+        return dataclasses.replace(self.ingest_stats, rejections=dict(sorted(self.ingest_stats.rejections.items())))
+
+    def network_summary(self) -> NetworkSummary:
+        directed = self.directed
+        return NetworkSummary(directed.node_count, directed.edge_count, directed.total_weight, self.net.directed,
+                              len(self.net.categories or {}))
+
+    def node_metrics(self) -> tuple[metrics_mod.NodeMetrics, ...]:
+        return tuple(m for _, m in sorted(self.nodes.items()))
+
+    def network_metrics(self) -> metrics_mod.NetworkMetrics:
+        return metrics_mod.compute_network_metrics(self.directed)
+
+    def fits(self) -> dict[str, Any]:
+        out: dict[str, Any] = {}
+        for name in FIT_PARTS:
+            _capture(out, name, getattr(self, name))
+        return out
+
+    def degree_tail(self) -> powerlaw_mod.PowerLawFit:
+        samples = [m.degree for m in self.nodes.values() if m.degree >= 1]
+        return powerlaw_mod.analyze_tail(samples, n_boot=self.options.boot, seed=self.seeds.power_law)
+
+    def strength_degree(self) -> powerlaw_mod.RegressionFit:
+        return powerlaw_mod.fit_strength_degree(self.directed)
+
+    def betweenness_degree(self) -> powerlaw_mod.RegressionFit:
+        return powerlaw_mod.fit_betweenness_degree(self.nodes)
+
+    def knn_degree(self) -> powerlaw_mod.RegressionFit:
+        # the k_nn curve is read from the node metrics' k_nn values, so `knn` runs once per report
+        knn = {label: m.knn_weighted for label, m in self.nodes.items()}
+        return powerlaw_mod.fit_knn_curve(metrics_mod.knn_curve(self.directed, knn))
+
+    def small_world(self) -> smallworld_mod.SmallWorldReport:
+        options = self.options
+        return smallworld_mod.small_world_report(
+            undirected_projection(self.directed), n_samples=options.sw_samples, seed=self.seeds.small_world,
+            n_swaps=options.sw_swaps, lattice_swaps=options.sw_lattice_swaps)
+
+    def classification(self) -> Classification:
+        return Classification(classify_mod.classify_hubs_bottlenecks(self.nodes, self.options.quantile),
+                              classify_mod.label_distributors_receivers(self.nodes, self.options.role_threshold_sd))
+
+    def resilience(self) -> dict[str, resilience_mod.AttackResult]:
+        return {
+            strategy: resilience_mod.attack(self.directed, strategy, step_fraction=self.options.attack_step,
+                                            seed=self.seeds.attack_random)
+            for strategy in self.options.attack_strategies
+        }
+
+
 def build_report(net: TransferNetwork, options: AnalysisOptions, *,
                  ingest: IngestStats | None = None, digest: str | None = None) -> dict[str, Any]:
     """Run every non-skipped analysis section over the network, in `SECTIONS` order.
@@ -128,65 +238,80 @@ def build_report(net: TransferNetwork, options: AnalysisOptions, *,
     Section computations that fail leave a null entry with a sibling reason
     instead of aborting the report.
     """
-    directed = as_symmetric_directed(net)
-    seeds = options.derived_seeds
-
-    @functools.cache
-    def node_metrics() -> dict[str, metrics_mod.NodeMetrics]:
-        return metrics_mod.compute_node_metrics(directed, betweenness_weighted=options.weighted_betweenness)
-
-    def ingest_section():
-        if ingest is None:
-            raise ValueError("no ingest performed for this input")
-        return dataclasses.replace(ingest, rejections=dict(sorted(ingest.rejections.items())))
-
-    def fits_section():
-        out: dict[str, Any] = {}
-        degree_samples = [m.degree for m in node_metrics().values() if m.degree >= 1]
-        # the k_nn curve is read from the node metrics' k_nn values, so `knn` runs once per report
-        knn = {label: m.knn_weighted for label, m in node_metrics().items()}
-        parts = {
-            "degree_tail": lambda: powerlaw_mod.analyze_tail(degree_samples, n_boot=options.boot, seed=seeds.power_law),
-            "strength_degree": lambda: powerlaw_mod.fit_strength_degree(directed),
-            "betweenness_degree": lambda: powerlaw_mod.fit_betweenness_degree(node_metrics()),
-            "knn_degree": lambda: powerlaw_mod.fit_knn_curve(metrics_mod.knn_curve(directed, knn)),
-        }
-        for key, producer in parts.items():
-            _capture(out, key, producer)
-        return out
-
-    sections: dict[str, Callable[[], Any]] = {
-        "ingest": ingest_section,
-        "network_summary": lambda: {
-            "nodes": directed.node_count,
-            "edges": directed.edge_count,
-            "total_weight": directed.total_weight,
-            "directed": net.directed,
-            "categorised_nodes": len(net.categories or {}),
-        },
-        "node_metrics": lambda: [m for _, m in sorted(node_metrics().items())],
-        "network_metrics": lambda: metrics_mod.compute_network_metrics(directed),
-        "fits": fits_section,
-        "small_world": lambda: smallworld_mod.small_world_report(
-            undirected_projection(directed), n_samples=options.sw_samples, seed=seeds.small_world,
-            n_swaps=options.sw_swaps, lattice_swaps=options.sw_lattice_swaps),
-        "classification": lambda: {
-            "hubs_bottlenecks": classify_mod.classify_hubs_bottlenecks(node_metrics(), options.quantile),
-            "roles": classify_mod.label_distributors_receivers(node_metrics(), options.role_threshold_sd),
-        },
-        "resilience": lambda: {
-            strategy: resilience_mod.attack(directed, strategy, step_fraction=options.attack_step,
-                                            seed=seeds.attack_random)
-            for strategy in options.attack_strategies
-        },
-    }
-    report: dict[str, Any] = {
-        "tool": {"name": "wardflow", "version": __version__},
-        "input": {"digest": digest},
-        "config": _plain(options),
-    }
+    sections = _Sections(net, options, ingest)
+    report = _plain(ReportHead(Tool("wardflow", __version__), Input(digest), options))
     run = [name for name in SECTIONS if name not in options.skip]
-    failures = sum(_capture(report, name, sections[name]) for name in run)
+    failures = sum(_capture(report, name, getattr(sections, name)) for name in run)
     if run and failures == len(run):
         report["all_sections_failed"] = True
     return report
+
+
+_JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
+
+
+def _schema(hint: Any) -> dict[str, Any]:
+    """The draft-07 schema of what `_plain` writes for a value of type `hint`.
+
+    A dataclass or named tuple is a closed object that requires every field,
+    in declaration order; its `null_reasons` fields are followed by their
+    `<field>_reason`.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _JSON_TYPES:
+        return {"type": _JSON_TYPES[hint]}
+    if origin is Literal:
+        return {"const": args[0]} if len(args) == 1 else {"enum": list(args)}
+    if origin is types.UnionType:  # X | None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return _nullable(_schema(inner))
+    if origin is tuple:  # tuple[X, ...]
+        return {"type": "array", "items": _schema(args[0])}
+    if origin in (dict, collections.abc.Mapping):
+        return {"type": "object", "additionalProperties": _schema(args[1])}
+    names = _field_names(hint)
+    if names is None:
+        raise TypeError(f"no report form for {hint!r}")
+    hints = typing.get_type_hints(hint)
+    reasons = getattr(hint, "null_reasons", {})
+    properties: dict[str, Any] = {}
+    for name in names:
+        properties[name] = _schema(hints[name])
+        if name in reasons:
+            properties[f"{name}_reason"] = {"type": "string"}
+    return _closed(properties, list(names))
+
+
+def _nullable(schema: dict[str, Any]) -> dict[str, Any]:
+    return {**schema, "type": [schema["type"], "null"]}
+
+
+def _closed(properties: dict[str, Any], required: list[str]) -> dict[str, Any]:
+    return {"type": "object", "required": required, "properties": properties, "additionalProperties": False}
+
+
+def _captured(names: tuple[str, ...]) -> dict[str, Any]:
+    """The entries `_capture` writes for these producers: each result, or null and a `<name>_reason`."""
+    properties: dict[str, Any] = {}
+    for name in names:
+        if name == "fits":
+            entry = _closed(_captured(FIT_PARTS), list(FIT_PARTS))
+        else:
+            entry = _schema(typing.get_type_hints(getattr(_Sections, name))["return"])
+        properties[name] = _nullable(entry)
+        properties[f"{name}_reason"] = {"type": "string"}
+    return properties
+
+
+def report_schema() -> dict[str, Any]:
+    """The draft-07 JSON schema of a report, derived from the result types that `_plain` writes.
+
+    `report_schema.json` is this function's output, written with
+    `json.dumps(report_schema(), indent=2)` and a final newline.
+    Sections are optional, since a skipped section is left out.
+    """
+    schema = _schema(ReportHead)
+    schema["properties"].update(_captured(SECTIONS))
+    schema["properties"]["all_sections_failed"] = {"const": True}
+    return {"$schema": "http://json-schema.org/draft-07/schema#", "title": "wardflow analysis report",
+            "description": f"Schema version {__version__}; versioned together with the tool.", **schema}
