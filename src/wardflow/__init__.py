@@ -30,7 +30,6 @@ from .eventlog import (
     AdmissionJourney,
     CategoryMap,
     IngestStats,
-    LocationEvent,
     LogSchema,
     apply_category_map,
     parse_event_log,
@@ -66,7 +65,6 @@ __all__ = [
     "AdmissionJourney",
     "CategoryMap",
     "IngestStats",
-    "LocationEvent",
     "LogSchema",
     "TransferNetwork",
     "apply_category_map",

@@ -95,20 +95,23 @@ def _add_log_options(parser: argparse.ArgumentParser) -> None:
 def _network_from_log(path: str, args) -> tuple:
     """The network of an event log and its ingest tally, with the cyclic garbage collector paused.
 
-    The ingest makes no reference cycles, but each accepted row stays a
-    tracked container (CPython untracks exact tuples of atoms, not named
-    tuples), so left running the collector would rescan the growing event
-    list again and again. The caller's collector state comes back on return
-    and on error alike.
+    The category map is read first, so a bad map is reported before the
+    log is parsed. The ingest makes no reference cycles, but it allocates
+    tracked containers all along: two lists per admission while parsing,
+    then a journey and its tuples per admission. Left running, the
+    collector would rescan them again and again. The caller's collector
+    state comes back on return and on error alike.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        events, stats = parse_event_log(path, _schema_from_args(args))
-        journeys = reconstruct_journeys(events)
+        category_map = None
         if args.categories:
             category_map = read_category_map(args.categories, default_policy=args.category_policy,
                                              delimiter=args.delimiter)
+        groups, stats = parse_event_log(path, _schema_from_args(args))
+        journeys = reconstruct_journeys(groups)
+        if category_map is not None:
             journeys = apply_category_map(journeys, category_map)
         return build_network(journeys), stats
     finally:
@@ -135,13 +138,16 @@ def _output_error(exc: OSError) -> int:
 def _check_destinations(args) -> None:
     """Raise, before any input is read, the OSError that writing the command's output would meet.
 
-    That is an `-o` file whose directory is missing, or a `--sidecar-dir`
-    that names an existing file.
+    That is an `-o` file whose directory is missing, an `-o` that names an
+    existing directory, or a `--sidecar-dir` that names an existing file.
     """
     output = getattr(args, "output", None)
-    if output not in (None, "-") and not Path(output).parent.is_dir():
-        code = errno.ENOTDIR if Path(output).parent.exists() else errno.ENOENT
-        raise OSError(code, os.strerror(code), output)
+    if output not in (None, "-"):
+        if not Path(output).parent.is_dir():
+            code = errno.ENOTDIR if Path(output).parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), output)
+        if Path(output).is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), output)
     sidecars = getattr(args, "sidecar_dir", None)
     if sidecars and Path(sidecars).exists() and not Path(sidecars).is_dir():
         raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), sidecars)

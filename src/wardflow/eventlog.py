@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, compress, groupby
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from itertools import chain, compress
+from typing import IO, Iterable, Iterator, Mapping
 
 KEEP_AS_IS = "keep-as-is"
 REJECT_UNKNOWN = "reject-unknown"
@@ -23,13 +22,8 @@ class UnknownLocationError(ValueError):
     """A location has no category under a reject-unknown map."""
 
 
-class LocationEvent(NamedTuple):
-    """One accepted log row; a tuple, so a million of them stay small."""
-
-    admission_id: str
-    location: str
-    timestamp: datetime
-    source_row: int
+# admission id -> (locations, timestamps), both in input-row order
+AdmissionEvents = dict[str, tuple[list[str], list[datetime]]]
 
 
 @dataclass(frozen=True)
@@ -151,19 +145,20 @@ def csv_rows(source: IO | str, kind: str, delimiter: str = ",") -> Iterator[Iter
             raise ValueError(f"{kind} line {reader.line_num}: {message}") from exc
 
 
-def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[list[LocationEvent], IngestStats]:
-    """Read a delimited event log with a header row into LocationEvents.
+def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[AdmissionEvents, IngestStats]:
+    """Read a delimited event log with a header row, grouping its events by admission.
 
-    Rows with an unparseable timestamp, an empty location, or an empty
-    admission id are rejected and tallied per reason, never silently dropped.
-    Timestamps must all be naive or all carry a UTC offset; a row that
-    differs from the first accepted row is tallied as "timezone". A missing
-    declared column raises SchemaError.
+    Returns a dict from admission id to (locations, timestamps): two lists
+    in input-row order. Rows with an unparseable timestamp, an empty
+    location, or an empty admission id are rejected and tallied per reason,
+    never silently dropped. Timestamps must all be naive or all carry a UTC
+    offset; a row that differs from the first accepted row is tallied as
+    "timezone". A missing declared column raises SchemaError.
 
     Rows read as csv.DictReader reads them: blank lines are skipped and not
     counted, a short row's missing fields are empty, and a column name
-    repeated in the header means its last column. Equal admission ids and
-    locations share one string object.
+    repeated in the header means its last column. Equal locations share one
+    string object.
     """
     with csv_rows(source, "event log", schema.delimiter) as reader:
         header = next(reader, None) or []
@@ -176,12 +171,11 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
         t_col = position[schema.timestamp_column]
         width = max(a_col, l_col, t_col) + 1
 
-        events: list[LocationEvent] = []
+        groups: AdmissionEvents = {}
         stats = IngestStats()
         fmt = schema.timestamp_format
         parse_time = datetime.fromisoformat if fmt is None else lambda raw: datetime.strptime(raw, fmt)
-        new_event = functools.partial(tuple.__new__, LocationEvent)  # skips the named tuple's Python __new__
-        shared = {}.setdefault  # one string object per distinct admission id or location
+        shared = {}.setdefault  # one string object per distinct location
         aware: bool | None = None
         rows_read = 0
         for row in reader:
@@ -210,10 +204,13 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
             elif row_aware != aware:
                 stats.reject("timezone")
                 continue
-            events.append(new_event((shared(admission, admission), shared(location, location),
-                                     timestamp, rows_read)))
+            group = groups.get(admission)
+            if group is None:
+                group = groups[admission] = ([], [])
+            group[0].append(shared(location, location))
+            group[1].append(timestamp)
     stats.rows_read = rows_read
-    return events, stats
+    return groups, stats
 
 
 def _first_of_runs(labels: list[str]) -> list[bool]:
@@ -221,23 +218,26 @@ def _first_of_runs(labels: list[str]) -> list[bool]:
     return [True, *map(operator.ne, labels[1:], labels)]
 
 
-def reconstruct_journeys(events: Iterable[LocationEvent]) -> list[AdmissionJourney]:
-    """Group events by admission and order them into journeys.
+def reconstruct_journeys(groups: AdmissionEvents) -> list[AdmissionJourney]:
+    """Order each admission's events into a journey, emptying `groups`.
 
-    Events within an admission are sorted by (timestamp, source_row);
-    consecutive identical locations are merged keeping the earliest
-    timestamp. Output is sorted by admission id for determinism.
+    Events within an admission are sorted by timestamp, equal timestamps in
+    input-row order; consecutive identical locations are merged keeping the
+    earliest timestamp. Output is sorted by admission id for determinism.
+    Each admission is removed from `groups` as its journey is built, so its
+    lists are freed before the next admission's journey is made.
     """
-    admission = operator.itemgetter(0)
-    order = operator.itemgetter(2, 3)  # (timestamp, source_row)
     journeys = []
-    # a stable sort by admission id groups the events in C and keeps their input order
-    for admission_id, group in groupby(sorted(events, key=admission), admission):
-        _, locations, timestamps, _ = zip(*sorted(group, key=order))
+    for admission_id in sorted(groups):
+        locations, timestamps = groups.pop(admission_id)
+        if not all(map(operator.le, timestamps, timestamps[1:])):
+            # a stable sort, so equal timestamps keep input-row order
+            order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+            locations, timestamps = [locations[i] for i in order], [timestamps[i] for i in order]
         if not all(map(operator.ne, locations[1:], locations)):
             keep = _first_of_runs(locations)
-            locations, timestamps = tuple(compress(locations, keep)), tuple(compress(timestamps, keep))
-        journeys.append(AdmissionJourney._unchecked(admission_id, locations, timestamps))
+            locations, timestamps = compress(locations, keep), compress(timestamps, keep)
+        journeys.append(AdmissionJourney._unchecked(admission_id, tuple(locations), tuple(timestamps)))
     return journeys
 
 

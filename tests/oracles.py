@@ -332,6 +332,16 @@ def ref_parse_event_log(text: str, schema: LogSchema = LogSchema()) -> tuple[lis
     return events, stats
 
 
+def ref_group_by_admission(rows) -> dict[str, tuple[list[str], list[datetime]]]:
+    """(admission, location, timestamp) rows as `parse_event_log` groups them: admission id -> (locations, timestamps)."""
+    groups: dict[str, tuple[list[str], list[datetime]]] = {}
+    for admission, location, timestamp in rows:
+        locations, timestamps = groups.setdefault(admission, ([], []))
+        locations.append(location)
+        timestamps.append(timestamp)
+    return groups
+
+
 def ref_reconstruct_journeys(events: list[RefEvent]) -> list[RefJourney]:
     by_admission: dict[str, list[RefEvent]] = {}
     for event in events:

@@ -649,6 +649,35 @@ def test_output_to_a_missing_directory_is_usage_error(log_file, tmp_path, capsys
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("command", [["build", "{log}"], ["export", "{net}", "--to", "dot"],
+                                     ["synth", "--model", "ba", "--n", "10", "--m", "2", "--journeys", "5"]])
+def test_output_naming_an_existing_directory_is_usage_error(log_file, tmp_path, capsys, monkeypatch, command):
+    net = tmp_path / "net.graphml"
+    assert run(capsys, "build", log_file, "-o", net)[0] == 0
+    # nothing is read or generated before the destination is found to be a directory
+    monkeypatch.setattr(cli, "parse_event_log", _refuse)
+    monkeypatch.setattr(cli, "import_network", _refuse)
+    monkeypatch.setattr(cli.synth_mod, "generate_network", _refuse)
+    argv = [arg.format(log=log_file, net=net) for arg in command]
+    code, out, err = run(capsys, *argv, "-o", tmp_path)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write output: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("argv", [["build"], ["analyze", "--from-log", "--skip", "small_world"]])
+@pytest.mark.parametrize("problem", ["missing", "conflicting"])
+def test_bad_category_map_is_input_error_before_the_log_is_read(log_file, tmp_path, capsys, monkeypatch,
+                                                                argv, problem):
+    categories = tmp_path / "map.csv"
+    if problem == "conflicting":
+        categories.write_text(CATEGORIES + "ward1,surgical\n")
+    monkeypatch.setattr(cli, "parse_event_log", _refuse)
+    code, out, err = run(capsys, argv[0], log_file, "--categories", categories, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and "rows read" not in err
+    assert ("No such file or directory" if problem == "missing" else "'surgical'") in err
+
+
 def test_analyze_sidecar_dir_naming_a_file_is_usage_error(log_file, tmp_path, capsys, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("")

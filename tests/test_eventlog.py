@@ -1,18 +1,19 @@
 import gc
 import io
 import warnings
+from collections import deque
 from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ref_group_by_admission
 from wardflow.eventlog import (
     KEEP_AS_IS,
     REJECT_UNKNOWN,
     AdmissionJourney,
     CategoryMap,
-    LocationEvent,
     LogSchema,
     SchemaError,
     UnknownLocationError,
@@ -34,24 +35,23 @@ def make_csv(rows, header="admission_id,location,timestamp"):
 
 
 def test_parse_clean_three_rows():
-    events, stats = parse_event_log(make_csv([
+    groups, stats = parse_event_log(make_csv([
         "a1,ED,2016-03-01T08:00",
         "a1,ward1,2016-03-01T09:30",
         "a2,ED,2016-03-01T08:15",
     ]))
-    assert len(events) == 3
+    assert groups == {"a1": (["ED", "ward1"], [ts(0), ts(90)]), "a2": (["ED"], [ts(15)])}
     assert stats.rows_read == 3
     assert stats.rows_rejected == 0
-    assert events[0] == LocationEvent("a1", "ED", ts(0), 1)
 
 
 def test_parse_bad_timestamp_rejected_and_tallied():
-    events, stats = parse_event_log(make_csv([
+    groups, stats = parse_event_log(make_csv([
         "a1,ED,2016-03-01T08:00",
         "a1,ward1,not-a-date",
         "a2,ED,2016-03-01T08:15",
     ]))
-    assert len(events) == 2
+    assert groups == {"a1": (["ED"], [ts(0)]), "a2": (["ED"], [ts(15)])}
     assert stats.rows_rejected == 1
     assert stats.rejections == {"timestamp": 1}
 
@@ -72,9 +72,9 @@ def test_parse_missing_column_is_fatal():
 def test_parse_custom_schema_and_delimiter():
     schema = LogSchema(admission_column="adm", location_column="loc", timestamp_column="when",
                        delimiter=";", timestamp_format="%d/%m/%Y %H:%M")
-    events, stats = parse_event_log(io.StringIO("adm;loc;when\na1;ED;01/03/2016 08:00\n"), schema)
+    groups, stats = parse_event_log(io.StringIO("adm;loc;when\na1;ED;01/03/2016 08:00\n"), schema)
     assert stats.rows_rejected == 0
-    assert events[0].timestamp == ts(0)
+    assert groups == {"a1": (["ED"], [ts(0)])}
 
 
 def test_parse_shuffled_rows_same_event_multiset():
@@ -87,43 +87,61 @@ def test_parse_shuffled_rows_same_event_multiset():
     shuffled = [rows[2], rows[0], rows[3], rows[1]]
     first, _ = parse_event_log(make_csv(rows))
     second, _ = parse_event_log(make_csv(shuffled))
-    key = lambda e: (e.admission_id, e.location, e.timestamp)
-    assert sorted(map(key, first)) == sorted(map(key, second))
+    events = lambda groups: sorted((a, l, t) for a, (locs, times) in groups.items() for l, t in zip(locs, times))
+    assert events(first) == events(second)
+
+
+def journeys_of(rows):
+    groups, stats = parse_event_log(make_csv(rows))
+    assert stats.rows_rejected == 0
+    return reconstruct_journeys(groups)
 
 
 def test_reconstruct_merges_consecutive_duplicates():
-    events = [
-        LocationEvent("a1", "A", ts(0), 1),
-        LocationEvent("a1", "A", ts(10), 2),
-        LocationEvent("a1", "B", ts(20), 3),
-    ]
-    journeys = reconstruct_journeys(events)
+    journeys = journeys_of(["a1,A,2016-03-01T08:00", "a1,A,2016-03-01T08:10", "a1,B,2016-03-01T08:20"])
     assert journeys == [AdmissionJourney("a1", ("A", "B"), (ts(0), ts(20)))]
 
 
 def test_reconstruct_empty():
-    assert reconstruct_journeys([]) == []
+    assert reconstruct_journeys({}) == []
 
 
 def test_reconstruct_interleaved_admissions():
-    events = [
-        LocationEvent("a2", "ED", ts(5), 1),
-        LocationEvent("a1", "ED", ts(0), 2),
-        LocationEvent("a2", "CT", ts(25), 3),
-        LocationEvent("a1", "ward1", ts(30), 4),
-    ]
-    journeys = reconstruct_journeys(events)
+    journeys = journeys_of([
+        "a2,ED,2016-03-01T08:05",
+        "a1,ED,2016-03-01T08:00",
+        "a2,CT,2016-03-01T08:25",
+        "a1,ward1,2016-03-01T08:30",
+    ])
     assert [j.admission_id for j in journeys] == ["a1", "a2"]
     assert journeys[0].stops == ("ED", "ward1")
     assert journeys[1].stops == ("ED", "CT")
 
 
 def test_reconstruct_equal_timestamps_break_ties_by_source_row():
-    events = [
-        LocationEvent("a1", "B", ts(0), 2),
-        LocationEvent("a1", "A", ts(0), 1),
+    journeys = journeys_of(["a1,B,2016-03-01T08:00", "a1,A,2016-03-01T08:00", "a1,C,2016-03-01T07:00"])
+    assert journeys[0].stops == ("C", "B", "A")
+
+
+def test_reconstruct_equal_instants_at_different_offsets_keep_row_order():
+    # one UTC instant twice: datetime compares aware values by instant, so the rows tie
+    journeys = journeys_of(["a1,B,2016-03-01T08:00+01:00", "a1,A,2016-03-01T07:00+00:00",
+                            "a1,C,2016-03-01T06:30+00:00"])
+    assert journeys[0].stops == ("C", "B", "A")
+    assert list(map(repr, journeys[0].times[1:])) == [
+        repr(datetime.fromisoformat("2016-03-01T08:00+01:00")),
+        repr(datetime.fromisoformat("2016-03-01T07:00+00:00")),
     ]
-    assert reconstruct_journeys(events)[0].stops == ("A", "B")
+
+
+def test_reconstruct_sorts_out_of_order_rows_within_an_admission():
+    journeys = journeys_of([
+        "a1,CT,2016-03-01T09:00",
+        "a1,ED,2016-03-01T08:00",
+        "a1,ward1,2016-03-01T10:00",
+        "a1,ED,2016-03-01T08:30",
+    ])
+    assert journeys == [AdmissionJourney("a1", ("ED", "CT", "ward1"), (ts(0), ts(60), ts(120)))]
 
 
 def test_category_map_merges_same_category():
@@ -186,26 +204,21 @@ locations = st.sampled_from(["ED", "CT", "ward1", "ward2", "ICU"])
 events_strategy = st.lists(
     st.tuples(a_ids, locations, st.integers(min_value=0, max_value=500)),
     max_size=40,
-).map(lambda raw: [LocationEvent(a, l, ts(m), i + 1) for i, (a, l, m) in enumerate(raw)])
+).map(lambda raw: [(a, l, ts(m)) for a, l, m in raw])
 
 
 @given(events_strategy)
 @settings(max_examples=60, deadline=None)
 def test_reconstruct_is_idempotent(events):
-    journeys = reconstruct_journeys(events)
-    flattened = [
-        LocationEvent(j.admission_id, stop, time, row)
-        for row, (j, stop, time) in enumerate(
-            ((j, s, t) for j in journeys for s, t in zip(j.stops, j.times)), start=1
-        )
-    ]
-    assert reconstruct_journeys(flattened) == journeys
+    journeys = reconstruct_journeys(ref_group_by_admission(events))
+    flattened = [(j.admission_id, stop, time) for j in journeys for stop, time in zip(j.stops, j.times)]
+    assert reconstruct_journeys(ref_group_by_admission(flattened)) == journeys
 
 
 @given(events_strategy)
 @settings(max_examples=60, deadline=None)
 def test_category_mapping_never_adds_stops(events):
-    journeys = reconstruct_journeys(events)
+    journeys = reconstruct_journeys(ref_group_by_admission(events))
     cmap = CategoryMap({"ward1": "med", "ward2": "med", "CT": "imaging"})
     mapped = apply_category_map(journeys, cmap)
     assert sum(len(j.stops) for j in mapped) <= sum(len(j.stops) for j in journeys)
@@ -214,32 +227,36 @@ def test_category_mapping_never_adds_stops(events):
 @given(events_strategy, st.randoms())
 @settings(max_examples=40, deadline=None)
 def test_reconstruct_row_order_only_matters_for_ties(events, rnd):
-    journeys = reconstruct_journeys(events)
-    # permuting rows while keeping source_row attached changes nothing
-    shuffled = list(events)
-    rnd.shuffle(shuffled)
-    assert reconstruct_journeys(shuffled) == journeys
+    journeys = reconstruct_journeys(ref_group_by_admission(events))
+    # any permutation of the rows that keeps equal timestamps of an admission in row order
+    order = list(range(len(events)))
+    rnd.shuffle(order)
+    ties = {}
+    for i, (admission, _, timestamp) in enumerate(events):
+        ties.setdefault((admission, timestamp), deque()).append(i)
+    shuffled = [events[ties[events[i][0], events[i][2]].popleft()] for i in order]
+    assert reconstruct_journeys(ref_group_by_admission(shuffled)) == journeys
 
 
 def test_parse_mixed_timezone_awareness_rejected_and_tallied():
-    events, stats = parse_event_log(make_csv([
+    groups, stats = parse_event_log(make_csv([
         "a1,ED,2016-03-01T08:00",
         "a1,ward1,2016-03-01T09:00+00:00",
         "a2,ED,2016-03-01T08:15",
         "a2,CT,2016-03-01T08:45Z",
     ]))
     assert stats.rejections == {"timezone": 2}
-    assert [e.source_row for e in events] == [1, 3]
-    assert len(reconstruct_journeys(events)) == 2
+    assert groups == {"a1": (["ED"], [ts(0)]), "a2": (["ED"], [ts(15)])}
+    assert len(reconstruct_journeys(groups)) == 2
 
 
 def test_parse_all_aware_timestamps_accepted():
-    events, stats = parse_event_log(make_csv([
+    groups, stats = parse_event_log(make_csv([
         "a1,ED,2016-03-01T08:00+01:00",
         "a1,ward1,2016-03-01T08:30+00:00",
     ]))
     assert stats.rows_rejected == 0
-    assert reconstruct_journeys(events)[0].stops == ("ED", "ward1")
+    assert reconstruct_journeys(groups)[0].stops == ("ED", "ward1")
 
 
 def test_utf8_byte_order_mark_is_skipped(tmp_path):
@@ -288,9 +305,30 @@ def test_binary_handle_is_decoded_in_blocks_and_left_open():
         f"a{i % 7},ward{i % 5},2016-03-01T08:{i % 60:02d}\n" for i in range(2000)
     )
     handle = _RecordingBytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-    events, stats = parse_event_log(handle)
-    assert (events, stats) == parse_event_log(io.StringIO(text))
+    groups, stats = parse_event_log(handle)
+    assert (groups, stats) == parse_event_log(io.StringIO(text))
     assert handle.sizes and all(size is not None and size > 0 for size in handle.sizes)
     assert not handle.closed
     handle.seek(0)
     assert handle.read(3) == b"\xef\xbb\xbf"
+
+
+def test_parse_keeps_gc_tracked_objects_per_admission_not_per_row():
+    text = "admission_id,location,timestamp\n" + "".join(
+        f"a{i % 60},ward{i % 7},2016-03-01T{8 + i % 10:02d}:{i % 60:02d}\n" for i in range(6000)
+    )
+    parse_event_log(io.StringIO(text))  # anything a first call sets up is not counted
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        groups, stats = parse_event_log(io.StringIO(text))
+        added = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    # two lists and a tuple per admission; one tracked object per row would add over 6,000
+    assert (stats.rows_read, len(groups)) == (6000, 60)
+    assert added < 1000
+    journeys = reconstruct_journeys(groups)
+    assert len(journeys) == 60 and groups == {}

@@ -15,11 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_apply_category_map, ref_build_network, ref_parse_event_log, ref_reconstruct_journeys
+from oracles import (
+    ref_apply_category_map,
+    ref_build_network,
+    ref_group_by_admission,
+    ref_parse_event_log,
+    ref_reconstruct_journeys,
+)
 from wardflow.eventlog import (
     AdmissionJourney,
     CategoryMap,
-    LocationEvent,
     LogSchema,
     SchemaError,
     apply_category_map,
@@ -95,9 +100,9 @@ def event_logs(draw):
     return buffer.getvalue(), schema
 
 
-def _events(events):
-    # repr keeps the UTC offset, which datetime equality ignores
-    return [(e.admission_id, e.location, repr(e.timestamp), e.source_row) for e in events]
+def _groups(groups):
+    # repr keeps the UTC offset, which datetime equality ignores; items keep first-seen admission order
+    return [(admission, locations, list(map(repr, timestamps))) for admission, (locations, timestamps) in groups.items()]
 
 
 def _journeys(journeys):
@@ -121,18 +126,17 @@ def test_ingest_matches_the_dictreader_reference(log, as_bytes):
             parse_event_log(_source(text, as_bytes), schema)
         assert str(caught.value) == str(exc)
         return
-    events, stats = parse_event_log(_source(text, as_bytes), schema)
+    groups, stats = parse_event_log(_source(text, as_bytes), schema)
 
-    assert _events(events) == _events(ref_events)
-    # a plain tuple would compare equal too; the events must stay LocationEvents
-    assert all(type(event) is LocationEvent for event in events)
+    ref_rows = [(e.admission_id, e.location, e.timestamp) for e in ref_events]  # in row order
+    assert _groups(groups) == _groups(ref_group_by_admission(ref_rows))
     assert (stats.rows_read, stats.rows_rejected) == (ref_stats.rows_read, ref_stats.rows_rejected)
     assert list(stats.rejections.items()) == list(ref_stats.rejections.items())
 
-    journeys = reconstruct_journeys(events)
+    journeys = reconstruct_journeys(groups)
     ref_journeys = ref_reconstruct_journeys(ref_events)
     assert _journeys(journeys) == _journeys(ref_journeys)
-    assert _journeys(reconstruct_journeys(events[::-1])) == _journeys(ref_journeys)
+    assert groups == {}
 
     mapped = apply_category_map(journeys, CATEGORIES)
     ref_mapped = ref_apply_category_map(ref_journeys, CATEGORIES)
@@ -148,10 +152,11 @@ def test_ingest_matches_the_dictreader_reference(log, as_bytes):
 
 @pytest.mark.parametrize("fmt, stamp", [(None, "2016-03-01T08:00"), (STRPTIME_FORMAT, "01/03/2016 08:00")])
 def test_events_are_location_events_on_either_timestamp_path(fmt, stamp):
-    text = "admission_id,location,timestamp\n" + f"a1,ED,{stamp}\na2,CT,{stamp}\n"
-    events, _ = parse_event_log(io.StringIO(text), LogSchema(timestamp_format=fmt))
-    assert [type(event) for event in events] == [LocationEvent, LocationEvent]
-    assert events[1].location == "CT" and events[1].timestamp == datetime(2016, 3, 1, 8)
+    text = "admission_id,location,timestamp\n" + f"a1,ED,{stamp}\na2,CT,{stamp}\na1,CT,{stamp}\n"
+    groups, _ = parse_event_log(io.StringIO(text), LogSchema(timestamp_format=fmt))
+    when = datetime(2016, 3, 1, 8)
+    assert groups == {"a1": (["ED", "CT"], [when, when]), "a2": (["CT"], [when])}
+    assert all(type(t) is datetime for _, timestamps in groups.values() for t in timestamps)
 
 
 def test_build_network_matches_the_loop_on_generated_journeys():
@@ -188,33 +193,21 @@ def test_generated_logs_reach_every_rejection_reason():
 
 def test_repeated_header_name_reads_its_last_column():
     text = "location,admission_id,location,timestamp\ndecoy,a1,ED,2016-03-01T08:00\nx,a1,,2016-03-01T09:00\n"
-    events, stats = parse_event_log(io.StringIO(text))
-    assert [e.location for e in events] == ["ED"]
+    groups, stats = parse_event_log(io.StringIO(text))
+    assert groups == {"a1": (["ED"], [datetime(2016, 3, 1, 8)])}
     assert stats.rejections == {"location": 1}
 
 
 def test_blank_lines_are_not_rows_and_short_rows_read_empty():
     text = "admission_id,location,timestamp\n\na1,ED,2016-03-01T08:00\n\n\na1,CT\na2\n"
-    events, stats = parse_event_log(io.StringIO(text))
-    assert [e.source_row for e in events] == [1]
+    groups, stats = parse_event_log(io.StringIO(text))
+    assert groups == {"a1": (["ED"], [datetime(2016, 3, 1, 8)])}
     assert stats.rows_read == 3
     assert stats.rejections == {"timestamp": 1, "location": 1}
 
 
 def test_equal_admission_ids_and_locations_share_one_object():
-    text = "admission_id,location,timestamp\n" + "a1,ED,2016-03-01T08:00\n" * 3
-    events, _ = parse_event_log(io.StringIO(text))
-    assert len({id(part) for e in events for part in e[:2]}) == 2
-
-
-def test_location_event_compares_and_orders_as_a_tuple():
-    # a named tuple: equal to any tuple of the same values, ordered field by
-    # field, and immutable; the frozen dataclass it replaced compared only
-    # to its own class and could not be ordered
-    stamp = datetime(2016, 3, 1, 8)
-    event = LocationEvent("a1", "ED", stamp, 1)
-    assert event == LocationEvent("a1", "ED", stamp, 1) == ("a1", "ED", stamp, 1)
-    assert event != LocationEvent("a1", "ED", stamp, 2)
-    assert event < LocationEvent("a1", "ED", stamp, 2)
-    with pytest.raises(AttributeError):
-        event.location = "CT"
+    text = "admission_id,location,timestamp\n" + "a1,ED,2016-03-01T08:00\na2,ED,2016-03-01T08:00\n" * 3
+    groups, _ = parse_event_log(io.StringIO(text))
+    assert list(groups) == ["a1", "a2"]
+    assert len({id(location) for locations, _ in groups.values() for location in locations}) == 1

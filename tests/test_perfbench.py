@@ -36,9 +36,12 @@ def test_log_ingest_goes_through_each_traced_step_once(tmp_path, monkeypatch):
     categories = tmp_path / "map.csv"
     categories.write_text("location,category\nward0,medical\nward1,medical\nward2,surgical\n")
     results = {name: [] for name in INGEST_STEPS}
+    events = []
     for name in INGEST_STEPS:
         def spy(*args, _name=name, _original=getattr(cli, name), **kwargs):
             result = _original(*args, **kwargs)
+            if _name == "parse_event_log":  # counted now: reconstruct_journeys empties the groups
+                events.append(sum(len(locations) for locations, _ in result[0].values()))
             results[_name].append(result)
             return result
 
@@ -46,8 +49,9 @@ def test_log_ingest_goes_through_each_traced_step_once(tmp_path, monkeypatch):
     args = cli._build_parser().parse_args(["build", str(log), "--categories", str(categories)])
     net, stats = cli._network_from_log(args.log, args)
     assert {name: len(calls) for name, calls in results.items()} == dict.fromkeys(INGEST_STEPS, 1)
-    events, parsed = results["parse_event_log"][0]
-    assert parsed is stats and stats.rows_read == len(rows) == len(events)
+    groups, parsed = results["parse_event_log"][0]
+    assert parsed is stats and stats.rows_read == len(rows) and events == [len(rows)]
+    assert groups == {}
     assert net.nodes == {"medical", "surgical", "ward3", "ward4", "ward5"}
 
 
