@@ -96,11 +96,17 @@ def _network_from_log(path: str, args) -> tuple:
     """The network of an event log and its ingest tally, with the cyclic garbage collector paused.
 
     The category map is read first, so a bad map is reported before the
-    log is parsed. The ingest makes no reference cycles, but it allocates
-    tracked containers all along: two lists per admission while parsing,
-    then a journey and its tuples per admission. Left running, the
-    collector would rescan them again and again. The caller's collector
-    state comes back on return and on error alike.
+    log is parsed. The journeys are streamed: one is built, mapped and
+    counted into the network before the next is made. The ingest makes no
+    reference cycles, but it allocates tracked containers all along: two
+    lists per admission while parsing, then a journey and its tuples per
+    admission. Left running, the collector would rescan them again and
+    again. The pause ends with one full collection, which finds no
+    garbage but clears CPython's free lists: the freed journey tuples
+    parked there pin otherwise empty pymalloc arenas, and once cleared the
+    arenas go back to the operating system before `analyze` loads numpy
+    and scipy. The caller's collector state comes back on return and on
+    error alike.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -115,6 +121,7 @@ def _network_from_log(path: str, args) -> tuple:
             journeys = apply_category_map(journeys, category_map)
         return build_network(journeys), stats
     finally:
+        gc.collect()
         if enabled:
             gc.enable()
 

@@ -7,7 +7,7 @@ import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, compress
+from itertools import compress
 from typing import IO, Iterable, Iterator, Mapping
 
 KEEP_AS_IS = "keep-as-is"
@@ -218,16 +218,16 @@ def _first_of_runs(labels: list[str]) -> list[bool]:
     return [True, *map(operator.ne, labels[1:], labels)]
 
 
-def reconstruct_journeys(groups: AdmissionEvents) -> list[AdmissionJourney]:
-    """Order each admission's events into a journey, emptying `groups`.
+def reconstruct_journeys(groups: AdmissionEvents) -> Iterator[AdmissionJourney]:
+    """Order each admission's events into a journey; returns an iterator that empties `groups`.
 
     Events within an admission are sorted by timestamp, equal timestamps in
     input-row order; consecutive identical locations are merged keeping the
-    earliest timestamp. Output is sorted by admission id for determinism.
-    Each admission is removed from `groups` as its journey is built, so its
-    lists are freed before the next admission's journey is made.
+    earliest timestamp. Journeys come out in admission-id order for
+    determinism. Each admission is removed from `groups` as the iterator
+    reaches it, so its lists are freed as its journey is handed on, and
+    `groups` is empty once the iterator is exhausted.
     """
-    journeys = []
     for admission_id in sorted(groups):
         locations, timestamps = groups.pop(admission_id)
         if not all(map(operator.le, timestamps, timestamps[1:])):
@@ -237,34 +237,50 @@ def reconstruct_journeys(groups: AdmissionEvents) -> list[AdmissionJourney]:
         if not all(map(operator.ne, locations[1:], locations)):
             keep = _first_of_runs(locations)
             locations, timestamps = compress(locations, keep), compress(timestamps, keep)
-        journeys.append(AdmissionJourney._unchecked(admission_id, tuple(locations), tuple(timestamps)))
-    return journeys
+        yield AdmissionJourney._unchecked(admission_id, tuple(locations), tuple(timestamps))
 
 
-def apply_category_map(journeys: Iterable[AdmissionJourney], category_map: CategoryMap) -> list[AdmissionJourney]:
-    """Relabel stops through the map, re-merging consecutive duplicates."""
-    journeys = list(journeys)
-    # each distinct stop resolved once, in order of first use, so a
-    # reject-unknown map names the same unknown location a stop-by-stop pass would
-    distinct = dict.fromkeys(chain.from_iterable(journey.stops for journey in journeys))
-    label_of = {stop: category_map.resolve(stop) for stop in distinct}.__getitem__
-    mapped = []
+class _ResolvedOnFirstUse(dict):
+    """location -> label; a location is resolved through `resolve` the first time it is looked up."""
+
+    __slots__ = ("resolve",)
+
+    def __init__(self, resolve):
+        super().__init__()
+        self.resolve = resolve
+
+    def __missing__(self, location: str) -> str:
+        label = self[location] = self.resolve(location)
+        return label
+
+
+def apply_category_map(journeys: Iterable[AdmissionJourney], category_map: CategoryMap) -> Iterator[AdmissionJourney]:
+    """Relabel stops through the map, re-merging consecutive duplicates; returns an iterator.
+
+    Each journey is mapped as it is pulled. Each distinct stop is resolved
+    once, on first use in journey order, so a reject-unknown map raises
+    UnknownLocationError for the first unknown stop of the first journey
+    that has one, when that journey is pulled.
+    """
+    label_of = _ResolvedOnFirstUse(category_map.resolve).__getitem__  # dict lookups in C after the first
     for journey in journeys:
         labels = list(map(label_of, journey.stops))
         keep = _first_of_runs(labels)
-        mapped.append(AdmissionJourney._unchecked(journey.admission_id, tuple(compress(labels, keep)),
-                                                  tuple(compress(journey.times, keep))))
-    return mapped
+        yield AdmissionJourney._unchecked(journey.admission_id, tuple(compress(labels, keep)),
+                                          tuple(compress(journey.times, keep)))
 
 
 def read_category_map(source: IO | str, default_policy: str = KEEP_AS_IS, delimiter: str = ",") -> CategoryMap:
     """Load a two-column (location, category) file; a header row is skipped.
 
-    A location listed again with the same category is accepted; with another
-    category it is a ValueError.
+    Blank rows are skipped, and the first other row is the header if it
+    reads `location,category`. A row with an empty location is a ValueError,
+    since no log location is empty. A location listed again with the same
+    category is accepted; with another category it is a ValueError.
     """
     _check_delimiter(delimiter)
     entries: dict[str, str] = {}
+    first = True
     with csv_rows(source, "category map", delimiter) as reader:
         for i, row in enumerate(reader):
             if not row or all(not cell.strip() for cell in row):
@@ -272,8 +288,12 @@ def read_category_map(source: IO | str, default_policy: str = KEEP_AS_IS, delimi
             if len(row) < 2:
                 raise ValueError(f"category map row {i + 1} needs two columns: {row}")
             location, category = row[0].strip(), row[1].strip()
-            if i == 0 and (location.lower(), category.lower()) == ("location", "category"):
-                continue
+            if first:
+                first = False
+                if (location.lower(), category.lower()) == ("location", "category"):
+                    continue
+            if not location:
+                raise ValueError(f"category map row {i + 1} has an empty location: {row}")
             if entries.setdefault(location, category) != category:
                 raise ValueError(f"category map lists {location!r} as both {entries[location]!r} and {category!r}")
     return CategoryMap(entries, default_policy)

@@ -95,11 +95,23 @@ class TransferNetwork:
 
 
 def build_network(journeys: Iterable[AdmissionJourney]) -> TransferNetwork:
-    """Count consecutive stop pairs over all journeys into a directed network."""
-    stops = [journey.stops for journey in journeys]
+    """Count consecutive stop pairs over all journeys into a directed network.
+
+    One pass over any iterable: no journey is kept once its stops are
+    counted, so journeys streamed from `reconstruct_journeys` are freed one
+    by one.
+    """
+    nodes: set[str] = set()
+
+    def stop_pairs():
+        for journey in journeys:
+            path = journey.stops
+            nodes.update(path)
+            yield zip(path, path[1:])
+
     # Counter counts in C and keeps first-seen order, so edges come out in the order a loop would add them
-    edges = Counter(chain.from_iterable(zip(path, path[1:]) for path in stops))
-    return TransferNetwork(frozenset(chain.from_iterable(stops)), dict(edges), directed=True)
+    edges = Counter(chain.from_iterable(stop_pairs()))
+    return TransferNetwork(frozenset(nodes), dict(edges), directed=True)
 
 
 def undirected_projection(net: TransferNetwork) -> TransferNetwork:

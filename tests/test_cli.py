@@ -592,6 +592,46 @@ def test_log_ingest_pauses_the_collector_and_restores_its_state(log_file, tmp_pa
     assert gc.isenabled() is enabled
 
 
+@pytest.mark.parametrize("outcome", ["network", "UnknownLocationError"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_log_ingest_ends_with_one_full_collection(log_file, tmp_path, collector_state, enabled, outcome):
+    categories = tmp_path / "map.csv"
+    categories.write_text(CATEGORIES)
+    argv = ["build", str(log_file), "--categories", str(categories)]
+    if outcome == "UnknownLocationError":
+        argv += ["--category-policy", "reject-unknown"]  # raised while the journeys stream into the network
+    args = cli._build_parser().parse_args(argv)
+    (gc.enable if enabled else gc.disable)()
+    before = gc.get_stats()[2]["collections"]
+    if outcome == "network":
+        cli._network_from_log(args.log, args)
+    else:
+        with pytest.raises(eventlog.UnknownLocationError):
+            cli._network_from_log(args.log, args)
+    assert gc.get_stats()[2]["collections"] == before + 1
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("argv", [["build"], ["analyze", "--from-log", "--skip", "small_world"]])
+def test_category_map_row_with_an_empty_location_is_input_error(log_file, tmp_path, capsys, argv):
+    categories = tmp_path / "map.csv"
+    categories.write_text(CATEGORIES + ",medical\n")
+    code, out, err = run(capsys, argv[0], log_file, "--categories", categories, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "input error: category map row 4 has an empty location: ['', 'medical']\n"
+
+
+def test_category_map_header_after_a_blank_line_is_skipped(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text(LOG + "a4,location,2016-03-03T08:00\na4,ward1,2016-03-03T09:00\n")  # a stop named like the header
+    plain, blank_first = tmp_path / "plain.csv", tmp_path / "blank-first.csv"
+    plain.write_text(CATEGORIES)
+    blank_first.write_text("\n" + CATEGORIES)
+    outputs = [run(capsys, "build", log, "--categories", path, "--format", "edgelist") for path in (plain, blank_first)]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+    assert "location,medical,1" in outputs[1][1] and "category" not in outputs[1][1]
+
+
 # the csv module rejects a field longer than this many characters
 LONG_FIELD = "x" * 200_000
 

@@ -1,6 +1,7 @@
 import gc
 import io
 import warnings
+import weakref
 from collections import deque
 from datetime import datetime, timedelta
 
@@ -94,7 +95,7 @@ def test_parse_shuffled_rows_same_event_multiset():
 def journeys_of(rows):
     groups, stats = parse_event_log(make_csv(rows))
     assert stats.rows_rejected == 0
-    return reconstruct_journeys(groups)
+    return list(reconstruct_journeys(groups))
 
 
 def test_reconstruct_merges_consecutive_duplicates():
@@ -103,7 +104,7 @@ def test_reconstruct_merges_consecutive_duplicates():
 
 
 def test_reconstruct_empty():
-    assert reconstruct_journeys({}) == []
+    assert list(reconstruct_journeys({})) == []
 
 
 def test_reconstruct_interleaved_admissions():
@@ -146,26 +147,26 @@ def test_reconstruct_sorts_out_of_order_rows_within_an_admission():
 
 def test_category_map_merges_same_category():
     journeys = [AdmissionJourney("a1", ("ward1", "ward2"), (ts(0), ts(10)))]
-    mapped = apply_category_map(journeys, CategoryMap({"ward1": "medical", "ward2": "medical"}))
+    mapped = list(apply_category_map(journeys, CategoryMap({"ward1": "medical", "ward2": "medical"})))
     assert mapped[0].stops == ("medical",)
     assert mapped[0].times == (ts(0),)
 
 
 def test_category_map_identity_keeps_journeys():
     journeys = [AdmissionJourney("a1", ("ED", "ward1"), (ts(0), ts(10)))]
-    assert apply_category_map(journeys, CategoryMap({})) == journeys
+    assert list(apply_category_map(journeys, CategoryMap({}))) == journeys
 
 
 def test_category_map_visit_and_return():
     journeys = [AdmissionJourney("a1", ("ED", "ward1", "CT", "ward2"), tuple(ts(i) for i in range(4)))]
-    mapped = apply_category_map(journeys, CategoryMap({"ward1": "med", "ward2": "med"}))
+    mapped = list(apply_category_map(journeys, CategoryMap({"ward1": "med", "ward2": "med"})))
     assert mapped[0].stops == ("ED", "med", "CT", "med")
 
 
 def test_category_map_reject_unknown():
     journeys = [AdmissionJourney("a1", ("ED",), (ts(0),))]
     with pytest.raises(UnknownLocationError, match="ED"):
-        apply_category_map(journeys, CategoryMap({"ward1": "med"}, REJECT_UNKNOWN))
+        list(apply_category_map(journeys, CategoryMap({"ward1": "med"}, REJECT_UNKNOWN)))
 
 
 def test_category_map_rejects_empty_category():
@@ -199,6 +200,65 @@ def test_read_category_map_skips_header():
     assert read_category_map(io.StringIO("ward1,medical\n")).entries == {"ward1": "medical"}
 
 
+def test_read_category_map_skips_a_header_after_blank_lines():
+    cmap = read_category_map(io.StringIO("\n  ,\nlocation,category\nward1,medical\n"))
+    assert cmap.entries == {"ward1": "medical"}
+
+
+def test_read_category_map_header_is_only_the_first_non_blank_row():
+    cmap = read_category_map(io.StringIO("ward1,medical\nlocation,category\n"))
+    assert cmap.entries == {"ward1": "medical", "location": "category"}
+
+
+@pytest.mark.parametrize("text, row", [(",medical\n", 1), ("location,category\nward1,medical\n\n  ,surgical\n", 4)])
+def test_read_category_map_rejects_an_empty_location(text, row):
+    with pytest.raises(ValueError, match=f"^category map row {row} has an empty location: "):
+        read_category_map(io.StringIO(text))
+
+
+def test_reconstruct_journeys_empties_groups_as_it_is_consumed():
+    groups, _ = parse_event_log(make_csv(["a2,ED,2016-03-01T08:00", "a1,ED,2016-03-01T08:00",
+                                          "a1,CT,2016-03-01T09:00", "a3,CT,2016-03-01T08:00"]))
+    journeys = reconstruct_journeys(groups)
+    assert len(groups) == 3
+    assert next(journeys).admission_id == "a1"
+    assert sorted(groups) == ["a2", "a3"]
+    assert [journey.admission_id for journey in journeys] == ["a2", "a3"]
+    assert groups == {}
+
+
+def test_category_map_is_lazy_and_rejects_the_first_unknown_stop_in_journey_order():
+    pulled = []
+
+    def source():
+        for journey in (AdmissionJourney("a1", ("ward1", "ward2"), (ts(0), ts(10))),
+                        AdmissionJourney("a2", ("ward1", "ICU", "CT"), (ts(0), ts(10), ts(20)))):
+            pulled.append(journey.admission_id)
+            yield journey
+
+    mapped = apply_category_map(source(), CategoryMap({"ward1": "med", "ward2": "med"}, REJECT_UNKNOWN))
+    assert pulled == []
+    assert next(mapped).stops == ("med",)
+    assert pulled == ["a1"]
+    # ICU comes before CT in the journey, after it in sorted order
+    with pytest.raises(UnknownLocationError, match="^location 'ICU' has no category$"):
+        next(mapped)
+
+
+def test_category_map_keeps_no_journey_behind():
+    refs = []
+
+    def source():
+        for i in range(50):
+            # only the journey being mapped is still alive when the next one is pulled
+            assert all(ref() is None for ref in refs[:-1])
+            refs.append(weakref.ref(journey := AdmissionJourney(f"a{i:02d}", ("ward1", "CT"), (ts(0), ts(i)))))
+            yield journey
+
+    mapped = [journey.stops for journey in apply_category_map(source(), CategoryMap({"ward1": "med"}))]
+    assert mapped == [("med", "CT")] * 50
+
+
 a_ids = st.sampled_from(["a1", "a2", "a3"])
 locations = st.sampled_from(["ED", "CT", "ward1", "ward2", "ICU"])
 events_strategy = st.lists(
@@ -210,24 +270,24 @@ events_strategy = st.lists(
 @given(events_strategy)
 @settings(max_examples=60, deadline=None)
 def test_reconstruct_is_idempotent(events):
-    journeys = reconstruct_journeys(ref_group_by_admission(events))
+    journeys = list(reconstruct_journeys(ref_group_by_admission(events)))
     flattened = [(j.admission_id, stop, time) for j in journeys for stop, time in zip(j.stops, j.times)]
-    assert reconstruct_journeys(ref_group_by_admission(flattened)) == journeys
+    assert list(reconstruct_journeys(ref_group_by_admission(flattened))) == journeys
 
 
 @given(events_strategy)
 @settings(max_examples=60, deadline=None)
 def test_category_mapping_never_adds_stops(events):
-    journeys = reconstruct_journeys(ref_group_by_admission(events))
+    journeys = list(reconstruct_journeys(ref_group_by_admission(events)))
     cmap = CategoryMap({"ward1": "med", "ward2": "med", "CT": "imaging"})
-    mapped = apply_category_map(journeys, cmap)
+    mapped = list(apply_category_map(journeys, cmap))
     assert sum(len(j.stops) for j in mapped) <= sum(len(j.stops) for j in journeys)
 
 
 @given(events_strategy, st.randoms())
 @settings(max_examples=40, deadline=None)
 def test_reconstruct_row_order_only_matters_for_ties(events, rnd):
-    journeys = reconstruct_journeys(ref_group_by_admission(events))
+    journeys = list(reconstruct_journeys(ref_group_by_admission(events)))
     # any permutation of the rows that keeps equal timestamps of an admission in row order
     order = list(range(len(events)))
     rnd.shuffle(order)
@@ -235,7 +295,7 @@ def test_reconstruct_row_order_only_matters_for_ties(events, rnd):
     for i, (admission, _, timestamp) in enumerate(events):
         ties.setdefault((admission, timestamp), deque()).append(i)
     shuffled = [events[ties[events[i][0], events[i][2]].popleft()] for i in order]
-    assert reconstruct_journeys(ref_group_by_admission(shuffled)) == journeys
+    assert list(reconstruct_journeys(ref_group_by_admission(shuffled))) == journeys
 
 
 def test_parse_mixed_timezone_awareness_rejected_and_tallied():
@@ -247,7 +307,7 @@ def test_parse_mixed_timezone_awareness_rejected_and_tallied():
     ]))
     assert stats.rejections == {"timezone": 2}
     assert groups == {"a1": (["ED"], [ts(0)]), "a2": (["ED"], [ts(15)])}
-    assert len(reconstruct_journeys(groups)) == 2
+    assert len(list(reconstruct_journeys(groups))) == 2
 
 
 def test_parse_all_aware_timestamps_accepted():
@@ -256,7 +316,7 @@ def test_parse_all_aware_timestamps_accepted():
         "a1,ward1,2016-03-01T08:30+00:00",
     ]))
     assert stats.rows_rejected == 0
-    assert reconstruct_journeys(groups)[0].stops == ("ED", "ward1")
+    assert list(reconstruct_journeys(groups))[0].stops == ("ED", "ward1")
 
 
 def test_utf8_byte_order_mark_is_skipped(tmp_path):
@@ -330,5 +390,5 @@ def test_parse_keeps_gc_tracked_objects_per_admission_not_per_row():
     # two lists and a tuple per admission; one tracked object per row would add over 6,000
     assert (stats.rows_read, len(groups)) == (6000, 60)
     assert added < 1000
-    journeys = reconstruct_journeys(groups)
+    journeys = list(reconstruct_journeys(groups))
     assert len(journeys) == 60 and groups == {}

@@ -133,12 +133,12 @@ def test_ingest_matches_the_dictreader_reference(log, as_bytes):
     assert (stats.rows_read, stats.rows_rejected) == (ref_stats.rows_read, ref_stats.rows_rejected)
     assert list(stats.rejections.items()) == list(ref_stats.rejections.items())
 
-    journeys = reconstruct_journeys(groups)
+    journeys = list(reconstruct_journeys(groups))
     ref_journeys = ref_reconstruct_journeys(ref_events)
     assert _journeys(journeys) == _journeys(ref_journeys)
     assert groups == {}
 
-    mapped = apply_category_map(journeys, CATEGORIES)
+    mapped = list(apply_category_map(journeys, CATEGORIES))
     ref_mapped = ref_apply_category_map(ref_journeys, CATEGORIES)
     assert _journeys(mapped) == _journeys(ref_mapped)
 

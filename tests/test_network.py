@@ -1,5 +1,6 @@
 import io
 import re
+import weakref
 from datetime import datetime, timedelta
 
 import networkx as nx
@@ -28,6 +29,26 @@ def journey(admission_id, *stops):
 def net_of(edges, directed=True, extra_nodes=(), categories=None):
     nodes = {u for u, _ in edges} | {v for _, v in edges} | set(extra_nodes)
     return TransferNetwork(frozenset(nodes), dict(edges), directed=directed, categories=categories)
+
+
+PATHS = [("A", "B", "C"), ("C", "A"), ("D",), ("B", "A", "B", "C"), ("C", "A", "D")]
+
+
+def test_build_network_counts_a_one_shot_generator_like_a_list():
+    expected = build_network([journey(f"a{i}", *path) for i, path in enumerate(PATHS)])
+    refs = []
+
+    def one_shot():
+        for i, path in enumerate(PATHS):
+            # only the journey being counted is still alive when the next one is pulled
+            assert all(ref() is None for ref in refs[:-1])
+            refs.append(weakref.ref(fresh := journey(f"a{i}", *path)))
+            yield fresh
+
+    net = build_network(one_shot())
+    assert net == expected
+    assert list(net.edges.items()) == list(expected.edges.items())
+    assert len(refs) == len(PATHS)
 
 
 def test_build_round_trip_journey():

@@ -173,7 +173,7 @@ def test_csv_emission_reingests_cleanly():
     write_event_log_csv(journeys, buffer)
     events, stats = parse_event_log(io.StringIO(buffer.getvalue()))
     assert stats.rows_rejected == 0
-    assert reconstruct_journeys(events) == journeys
+    assert list(reconstruct_journeys(events)) == journeys
 
 
 def test_long_run_edge_frequencies_match_stationary_flow():
