@@ -147,16 +147,20 @@ def _check_destinations(args) -> None:
 
     That is an `-o` file whose directory is missing, an `-o` that names an
     existing directory, or a `--sidecar-dir` that names an existing file.
+    An empty path for either option is a ValueError that names the option.
     """
     output = getattr(args, "output", None)
+    sidecars = getattr(args, "sidecar_dir", None)
+    for option, path in (("-o/--output", output), ("--sidecar-dir", sidecars)):
+        if path == "":
+            raise ValueError(f"{option} needs a path, got an empty one")
     if output not in (None, "-"):
         if not Path(output).parent.is_dir():
             code = errno.ENOTDIR if Path(output).parent.exists() else errno.ENOENT
             raise OSError(code, os.strerror(code), output)
         if Path(output).is_dir():
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), output)
-    sidecars = getattr(args, "sidecar_dir", None)
-    if sidecars and Path(sidecars).exists() and not Path(sidecars).is_dir():
+    if sidecars is not None and Path(sidecars).exists() and not Path(sidecars).is_dir():
         raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), sidecars)
 
 
@@ -240,7 +244,7 @@ def cmd_analyze(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = report_mod.build_report(net, options, ingest=stats, digest=digest)
-    if args.sidecar_dir:
+    if args.sidecar_dir is not None:
         try:
             _write_sidecars(report, net, args.sidecar_dir)
         except OSError as exc:
@@ -352,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
         _check_destinations(args)
     except OSError as exc:
         return _output_error(exc)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

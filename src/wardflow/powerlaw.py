@@ -1,4 +1,4 @@
-"""Degree-tail exponent fitting plus the strength and betweenness regressions.
+"""Degree-tail exponent fitting plus the strength, betweenness and k_nn regressions.
 
 The tail model is the discrete power law p(x) ~ x^-gamma on integers
 x >= xmin, normalized by the Hurwitz zeta function. gamma is the exact
@@ -9,6 +9,10 @@ the fitted model. Goodness of fit uses the semi-parametric bootstrap:
 synthesize datasets from the fitted model (empirical resampling below
 xmin), refit each with the same xmin scan, and report the fraction of
 replicates whose KS distance reaches the observed one.
+
+The regressions read tables, never a network: strength and betweenness
+against degree come from the node table of `metrics.compute_node_metrics`,
+and k_nn against degree from the curve of `metrics.knn`.
 """
 from __future__ import annotations
 
@@ -19,9 +23,8 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from . import metrics as metrics_mod, pool
+from . import pool
 from .metrics import NodeMetrics
-from .network import TransferNetwork
 
 SCAN = "scan"
 
@@ -431,25 +434,22 @@ def _ols_outliers(design: np.ndarray, y: np.ndarray, labels: list[str]) -> tuple
     return coef, sigma, tuple(flagged)
 
 
-def fit_strength_degree(net: TransferNetwork) -> RegressionFit:
-    """OLS of ln(strength) on ln(degree); the slope is the growth exponent.
+def fit_strength_degree(node_metrics: Mapping[str, NodeMetrics]) -> RegressionFit:
+    """OLS of ln(strength) on ln(degree) over the nodes of degree >= 1; the slope is the growth exponent.
 
     The baseline records the mean edge weight, i.e. the strength a node
     would have if weights were uncorrelated with degree (s = w_mean * k).
     """
-    metrics_mod._require_directed(net, "fit_strength_degree")
-    core = net.core
-    degree = core.degrees()
-    strength = np.asarray(core.weighted.sum(axis=0)).ravel() + np.asarray(core.weighted.sum(axis=1)).ravel()
-    linked = np.flatnonzero(degree >= 1)
-    if len(linked) < 3:
+    labels = [label for label in sorted(node_metrics) if node_metrics[label].degree >= 1]
+    if len(labels) < 3:
         raise ValueError("need at least 3 nodes with degree >= 1")
-    labels = [core.labels[i] for i in linked]
-    k = degree[linked].astype(float)
-    s = strength[linked].astype(float)
+    k = np.array([node_metrics[label].degree for label in labels], dtype=float)
+    s = np.array([node_metrics[label].strength for label in labels], dtype=float)
     design = np.column_stack([np.log(k), np.ones(len(k))])
     coef, sigma, outliers = _ols_outliers(design, np.log(s), labels)
-    baseline = net.total_weight / net.edge_count
+    # total weight over edge count: each edge is one out-degree and its weight one out-strength
+    rows = node_metrics.values()
+    baseline = sum(m.out_strength for m in rows) / sum(m.out_degree for m in rows)
     return RegressionFit(STRENGTH_DEGREE, (float(coef[0]), float(coef[1])), baseline,
                          sigma, _OUTLIER_THRESHOLD, outliers)
 
@@ -473,14 +473,8 @@ def fit_betweenness_degree(node_metrics: Mapping[str, NodeMetrics]) -> Regressio
                          sigma, _OUTLIER_THRESHOLD, outliers)
 
 
-def fit_knn_degree(net: TransferNetwork) -> RegressionFit:
-    """Linear fit through the k_nn(k) curve points of `metrics.knn(net)`."""
-    _, curve = metrics_mod.knn(net)
-    return fit_knn_curve(curve)
-
-
-def fit_knn_curve(curve: Mapping[int, float]) -> RegressionFit:
-    """Linear fit through k_nn(k) curve points, degree -> mean k_nn."""
+def fit_knn_degree(curve: Mapping[int, float]) -> RegressionFit:
+    """Linear fit through the k_nn(k) curve points of `metrics.knn`, degree -> mean k_nn."""
     if len(curve) < 2:
         raise ValueError("need at least 2 distinct degrees in the k_nn curve")
     labels = [f"k={k}" for k in curve]

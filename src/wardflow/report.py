@@ -203,7 +203,7 @@ class _Sections:
         return powerlaw_mod.analyze_tail(samples, n_boot=self.options.boot, seed=self.seeds.power_law)
 
     def strength_degree(self) -> powerlaw_mod.RegressionFit:
-        return powerlaw_mod.fit_strength_degree(self.directed)
+        return powerlaw_mod.fit_strength_degree(self.nodes)
 
     def betweenness_degree(self) -> powerlaw_mod.RegressionFit:
         return powerlaw_mod.fit_betweenness_degree(self.nodes)
@@ -211,7 +211,7 @@ class _Sections:
     def knn_degree(self) -> powerlaw_mod.RegressionFit:
         # the k_nn curve is read from the node metrics' k_nn values, so `knn` runs once per report
         knn = {label: m.knn_weighted for label, m in self.nodes.items()}
-        return powerlaw_mod.fit_knn_curve(metrics_mod.knn_curve(self.directed, knn))
+        return powerlaw_mod.fit_knn_degree(metrics_mod.knn_curve(self.directed, knn))
 
     def small_world(self) -> smallworld_mod.SmallWorldReport:
         options = self.options

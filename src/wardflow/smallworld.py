@@ -155,9 +155,10 @@ def _screen_kernel(edge_u, edge_v, rank_u, rank_v, pick_a, pick_b, orientation, 
 
 
 def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
-                lattice_rank: list[int] | None) -> tuple[TransferNetwork, int, int]:
+                lattice_rank: list[int] | None) -> tuple[TransferNetwork, int]:
+    """The network after n_swaps proposals, and the number of them accepted."""
     if net.edge_count < 2 or n_swaps == 0:
-        return net, n_swaps, 0
+        return net, 0
     core = net.core
     labels = core.labels
     n = core.n
@@ -203,17 +204,33 @@ def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
         for u, v, weight in zip(edge_u, edge_v, weights)
     }
     rewired = TransferNetwork(net.nodes, edges, directed=False, categories=net.categories)
-    return rewired, n_swaps, accepted
+    return rewired, accepted
 
 
-def _require_undirected(net: TransferNetwork, op: str) -> None:
+def _swap_count(net: TransferNetwork, op: str, name: str, value: int | None, per_edge: int) -> int:
+    """The swap count `value`, or per_edge swaps per edge when it is None; checks that net is undirected first."""
     if net.directed:
         raise ValueError(f"{op} expects the undirected projection")
-
-
-def _require_count(value: int, name: str) -> None:
+    if value is None:
+        value = per_edge * net.edge_count
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _rewire(net: TransferNetwork, op: str, n_swaps: int | None, per_edge: int, seed: int,
+            lattice: bool) -> RewireResult:
+    """The body of `rewire_random` and of `latticize`, which ranks the nodes for the lattice rule."""
+    n_swaps = _swap_count(net, op, "n_swaps", n_swaps, per_edge)
+    rank = None
+    if lattice:
+        # node indices follow label order, so a stable sort by degree breaks ties by label
+        by_degree = np.argsort(np.diff(net.core.out.indptr), kind="stable")
+        rank = np.empty(net.node_count, dtype=np.int64)
+        rank[by_degree] = np.arange(net.node_count)
+        rank = rank.tolist()
+    rewired, accepted = _swap_edges(net, n_swaps, np.random.default_rng(seed), lattice_rank=rank)
+    return RewireResult(rewired, n_swaps, accepted)
 
 
 def rewire_random(net: TransferNetwork, n_swaps: int | None = None, seed: int = 0) -> RewireResult:
@@ -224,13 +241,7 @@ def rewire_random(net: TransferNetwork, n_swaps: int | None = None, seed: int = 
     Defaults to 10 swap attempts per edge. Networks admitting no legal swap
     (a star, for instance) come back unchanged with the warning flag set.
     """
-    _require_undirected(net, "rewire_random")
-    if n_swaps is None:
-        n_swaps = _DEFAULT_SWAP_FACTOR * net.edge_count
-    _require_count(n_swaps, "n_swaps")
-    rng = np.random.default_rng(seed)
-    rewired, attempted, accepted = _swap_edges(net, n_swaps, rng, lattice_rank=None)
-    return RewireResult(rewired, attempted, accepted)
+    return _rewire(net, "rewire_random", n_swaps, _DEFAULT_SWAP_FACTOR, seed, lattice=False)
 
 
 def latticize(net: TransferNetwork, seed: int = 0, n_swaps: int | None = None) -> RewireResult:
@@ -239,19 +250,7 @@ def latticize(net: TransferNetwork, seed: int = 0, n_swaps: int | None = None) -
     Nodes are ranked by (degree, label); an edge scores the negative index
     distance of its endpoints, and a swap must not decrease the total score.
     """
-    _require_undirected(net, "latticize")
-    if n_swaps is None:
-        n_swaps = _DEFAULT_LATTICE_FACTOR * net.edge_count
-    _require_count(n_swaps, "n_swaps")
-    # node indices follow label order, so a stable sort by degree breaks ties by label
-    by_degree = np.argsort(np.diff(net.core.out.indptr), kind="stable")
-    rank = np.empty(net.node_count, dtype=np.int64)
-    rank[by_degree] = np.arange(net.node_count)
-    rank = rank.tolist()
-
-    rng = np.random.default_rng(seed)
-    rewired, attempted, accepted = _swap_edges(net, n_swaps, rng, lattice_rank=rank)
-    return RewireResult(rewired, attempted, accepted)
+    return _rewire(net, "latticize", n_swaps, _DEFAULT_LATTICE_FACTOR, seed, lattice=True)
 
 
 _RANDOM_TAG = 1
@@ -294,15 +293,11 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
     Members have their own seeds, so they run in parallel on the CPUs
     available to the process and give the same report as a serial run.
     """
-    _require_undirected(net, "small_world_report")
-    if n_samples < 1:
+    # a directed network is refused first, by `_swap_count`
+    if n_samples < 1 and not net.directed:
         raise ValueError("n_samples must be >= 1")
-    if n_swaps is None:
-        n_swaps = _DEFAULT_SWAP_FACTOR * net.edge_count
-    if lattice_swaps is None:
-        lattice_swaps = _DEFAULT_LATTICE_FACTOR * net.edge_count
-    _require_count(n_swaps, "n_swaps")
-    _require_count(lattice_swaps, "lattice_swaps")
+    n_swaps = _swap_count(net, "small_world_report", "n_swaps", n_swaps, _DEFAULT_SWAP_FACTOR)
+    lattice_swaps = _swap_count(net, "small_world_report", "lattice_swaps", lattice_swaps, _DEFAULT_LATTICE_FACTOR)
 
     _, c_av, _ = metrics_mod.clustering(net)
     l_av, coverage = metrics_mod.avg_shortest_path(net, metrics_mod.PROJECTION_SCOPE)

@@ -718,6 +718,26 @@ def test_bad_category_map_is_input_error_before_the_log_is_read(log_file, tmp_pa
     assert ("No such file or directory" if problem == "missing" else "'surgical'") in err
 
 
+@pytest.mark.parametrize("command, option", [
+    (["build", "{log}", "-o", ""], "-o/--output"),
+    (["export", "{net}", "--to", "dot", "--output", ""], "-o/--output"),
+    (["synth", "--model", "ba", "--n", "10", "--m", "2", "--journeys", "5", "-o", ""], "-o/--output"),
+    (["analyze", "{log}", "--from-log", "--boot", "5", "--sw-samples", "1", "--sidecar-dir", ""], "--sidecar-dir"),
+    (["analyze", "{net}", "--boot", "5", "--sw-samples", "1", "--sidecar-dir", ""], "--sidecar-dir"),
+])
+def test_empty_destination_path_is_usage_error_before_the_input_is_read(log_file, tmp_path, capsys, monkeypatch,
+                                                                         command, option):
+    net = tmp_path / "net.graphml"
+    assert run(capsys, "build", log_file, "-o", net)[0] == 0
+    monkeypatch.setattr(cli, "parse_event_log", _refuse)
+    monkeypatch.setattr(cli, "import_network", _refuse)
+    monkeypatch.setattr(cli.synth_mod, "generate_network", _refuse)
+    monkeypatch.setattr(cli.report_mod, "build_report", _refuse)
+    code, out, err = run(capsys, *[arg.format(log=log_file, net=net) for arg in command])
+    assert (code, out) == (1, "")
+    assert err == f"error: {option} needs a path, got an empty one\n"
+
+
 def test_analyze_sidecar_dir_naming_a_file_is_usage_error(log_file, tmp_path, capsys, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("")

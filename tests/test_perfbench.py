@@ -67,4 +67,5 @@ def test_traced_analyze_records_every_layer_in_a_fresh_process(tmp_path):
     names = {span["name"] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]}
     assert {"eventlog.parse_event_log", "network.build_network", "report.build_report",
             "metrics.compute_node_metrics", "metrics.knn", "powerlaw.analyze_tail",
+            "powerlaw.fit_strength_degree", "powerlaw.fit_betweenness_degree", "powerlaw.fit_knn_degree",
             "smallworld.small_world_report", "classify.classify_hubs_bottlenecks", "resilience.attack"} <= names

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
 
-from wardflow.metrics import NodeMetrics, compute_node_metrics
+from wardflow.metrics import NodeMetrics, compute_node_metrics, knn
 from wardflow.network import TransferNetwork
 from wardflow.powerlaw import (
     BETWEENNESS_DEGREE,
@@ -144,7 +144,7 @@ def test_strength_degree_uniform_weights_gives_unit_slope():
             edges[(u, v)] = w
     edges[("B", "A")] = w  # vary the degrees a little
     net = net_of(edges)
-    fit = fit_strength_degree(net)
+    fit = fit_strength_degree(compute_node_metrics(net))
     assert fit.kind == STRENGTH_DEGREE
     assert fit.coefficients[0] == pytest.approx(1.0, abs=1e-9)
     assert fit.coefficients[1] == pytest.approx(math.log(w), abs=1e-9)
@@ -164,18 +164,42 @@ def test_strength_degree_quadratic_growth():
                 edges[(u, v)] = size - 1
                 edges[(v, u)] = size - 1
     net = net_of(edges)
-    fit = fit_strength_degree(net)
+    fit = fit_strength_degree(compute_node_metrics(net))
     assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-6)
     assert fit.coefficients[1] == pytest.approx(math.log(0.5), abs=1e-6)
 
 
 def test_strength_degree_needs_three_nodes():
     with pytest.raises(ValueError):
-        fit_strength_degree(net_of({("A", "B"): 1}))
+        fit_strength_degree(compute_node_metrics(net_of({("A", "B"): 1})))
 
 
 def metric_row(label, degree, betweenness):
     return NodeMetrics(label, degree, 0, degree, -degree, degree, 0, degree, 0.0, betweenness, None)
+
+
+def strength_row(label, degree, out_degree, strength, out_strength):
+    return NodeMetrics(label, degree, degree - out_degree, out_degree, degree - 2 * out_degree,
+                       strength, strength - out_strength, out_strength, 0.0, 0.0, None)
+
+
+def test_strength_degree_reads_the_node_table_and_leaves_out_degree_zero():
+    # strength 3 k^1.5 on the linked rows; the isolated row would make log(0) if it were fitted
+    table = {
+        "a": strength_row("a", 1, 1, 3, 3),
+        "b": strength_row("b", 4, 2, 24, 10),
+        "c": strength_row("c", 9, 5, 81, 40),
+        "d": strength_row("d", 16, 8, 192, 100),
+        "z": strength_row("z", 0, 0, 0, 0),
+    }
+    fit = fit_strength_degree(table)
+    assert fit.kind == STRENGTH_DEGREE
+    assert fit.coefficients[0] == pytest.approx(1.5, abs=1e-9)
+    assert fit.coefficients[1] == pytest.approx(math.log(3), abs=1e-9)
+    assert fit.residual_sd == pytest.approx(0.0, abs=1e-9)
+    assert fit.baseline == (3 + 10 + 40 + 100) / (1 + 2 + 5 + 8)
+    with pytest.raises(ValueError, match="need at least 3 nodes with degree >= 1"):
+        fit_strength_degree({label: table[label] for label in ("a", "b", "z")})
 
 
 def test_betweenness_degree_exact_quadratic():
@@ -213,7 +237,7 @@ def test_betweenness_degree_needs_four_nodes():
 
 def test_knn_degree_fit_on_star():
     net = net_of({("H", f"L{i}"): 1 for i in range(5)})
-    fit = fit_knn_degree(net)
+    fit = fit_knn_degree(knn(net)[1])
     assert fit.kind == KNN_DEGREE
     # curve points: (1, 5) for leaves and (5, 1) for the hub
     assert fit.coefficients[0] == pytest.approx(-1.0, abs=1e-9)
@@ -223,7 +247,7 @@ def test_knn_degree_fit_on_star():
 def test_knn_degree_fit_needs_two_degrees():
     ring = net_of({(f"n{i}", f"n{(i + 1) % 5}"): 1 for i in range(5)})
     with pytest.raises(ValueError):
-        fit_knn_degree(ring)
+        fit_knn_degree(knn(ring)[1])
 
 
 def test_report_style_fixture_matches_node_metrics():
