@@ -81,15 +81,27 @@ def _degrees(text: str) -> tuple[int, ...] | None:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+# the event-log options by destination, with their defaults
+_LOG_DEFAULTS = {
+    "admission_col": "admission_id",
+    "location_col": "location",
+    "timestamp_col": "timestamp",
+    "delimiter": ",",
+    "timestamp_format": None,
+    "categories": None,
+    "category_policy": KEEP_AS_IS,
+}
+
+
 def _add_log_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--admission-col", default="admission_id")
-    parser.add_argument("--location-col", default="location")
-    parser.add_argument("--timestamp-col", default="timestamp")
-    parser.add_argument("--delimiter", type=_delimiter, default=",")
-    parser.add_argument("--timestamp-format", default=None,
-                        help="strptime format; default ISO-8601")
-    parser.add_argument("--categories", default=None, help="two-column location,category file")
-    parser.add_argument("--category-policy", choices=[KEEP_AS_IS, REJECT_UNKNOWN], default=KEEP_AS_IS)
+    parser.add_argument("--admission-col")
+    parser.add_argument("--location-col")
+    parser.add_argument("--timestamp-col")
+    parser.add_argument("--delimiter", type=_delimiter)
+    parser.add_argument("--timestamp-format", help="strptime format; default ISO-8601")
+    parser.add_argument("--categories", help="two-column location,category file")
+    parser.add_argument("--category-policy", choices=[KEEP_AS_IS, REJECT_UNKNOWN])
+    parser.set_defaults(**_LOG_DEFAULTS)
 
 
 def _network_from_log(path: str, args) -> tuple:
@@ -164,6 +176,31 @@ def _check_destinations(args) -> None:
         raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), sidecars)
 
 
+def _flags(names: list[str]) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
+def _check_input_options(args) -> None:
+    """Raise a ValueError, before any input is read, for an option the command's input cannot use.
+
+    `analyze` reads the event-log options only with --from-log, and --format
+    and --undirected only without it; a log option counts as given when it
+    differs from its default. A GraphML input takes its direction from its
+    edgedefault, so `analyze` and `export` refuse --undirected for one.
+    """
+    if args.command == "analyze" and args.from_log:
+        given = [name for name in ("format", "undirected") if getattr(args, name)]
+        if given:
+            raise ValueError(f"an event log read with --from-log does not take {_flags(given)}")
+        return
+    if args.command == "analyze":
+        given = [name for name, default in _LOG_DEFAULTS.items() if getattr(args, name) != default]
+        if given:
+            raise ValueError(f"only an event log read with --from-log takes {_flags(given)}")
+    if args.command in ("analyze", "export") and args.undirected and _input_format(args) == "graphml":
+        raise ValueError("a GraphML input does not take --undirected: its edgedefault sets the direction")
+
+
 def _write_output(payload: bytes, destination: str | None) -> int:
     if destination is None or destination == "-":
         sys.stdout.buffer.write(payload)
@@ -189,9 +226,9 @@ def cmd_build(args) -> int:
     return _write_output(payload, args.output)
 
 
-def _format_of(path: Path) -> str:
-    """The network format a file suffix implies: `.csv` is an edge list, anything else GraphML."""
-    return "edgelist" if path.suffix.lower() == ".csv" else "graphml"
+def _input_format(args) -> str:
+    """The format of a network input: the one given, else `.csv` is an edge list and anything else GraphML."""
+    return args.format or ("edgelist" if Path(args.network).suffix.lower() == ".csv" else "graphml")
 
 
 def _load_network(args):
@@ -199,9 +236,8 @@ def _load_network(args):
     if args.from_log:
         net, stats = _network_from_log(args.network, args)
         return net, stats, _file_digest([args.network] + ([args.categories] if args.categories else []))
-    path = Path(args.network)
-    data = path.read_bytes()
-    net = import_network(data, args.format or _format_of(path), directed=not args.undirected)
+    data = Path(args.network).read_bytes()
+    net = import_network(data, _input_format(args), directed=not args.undirected)
     return net, None, hashlib.sha256(data).hexdigest()
 
 
@@ -273,10 +309,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export(args) -> int:
-    path = Path(args.network)
     try:
-        data = path.read_bytes()
-        net = import_network(data, args.source_format or _format_of(path), directed=not args.undirected)
+        data = Path(args.network).read_bytes()
+        net = import_network(data, _input_format(args), directed=not args.undirected)
         payload = export_network(net, args.to)
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -336,7 +371,7 @@ def _build_parser() -> _Parser:
 
     export = sub.add_parser("export", help="convert a network file between formats")
     export.add_argument("network")
-    export.add_argument("--source-format", choices=("graphml", "edgelist"), default=None)
+    export.add_argument("--source-format", dest="format", choices=("graphml", "edgelist"), default=None)
     export.add_argument("--undirected", action="store_true")
     export.add_argument("--to", choices=_FORMATS, required=True)
     export.add_argument("-o", "--output", default=None)
@@ -354,6 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_destinations(args)
+        _check_input_options(args)
     except OSError as exc:
         return _output_error(exc)
     except ValueError as exc:

@@ -4,6 +4,11 @@ Directed quantities (degrees, strengths, reciprocity, flow hierarchy,
 betweenness, assortativity, path length) are defined on the directed
 network; clustering and nearest-neighbour degree follow the undirected
 projection, whose conventions the small-world machinery expects.
+
+Every measure reads the network's indexed core, `net.core`, and sums in
+its order (sorted labels, then CSR), never in the order the edges were
+inserted. So a result depends on the network alone: not on the row order
+of its input, nor on whether it was built from a log or read from a file.
 """
 from __future__ import annotations
 
@@ -94,10 +99,10 @@ def strengths(net: TransferNetwork) -> dict[str, tuple[int, int, int]]:
 def reciprocity(net: TransferNetwork) -> float | None:
     """Fraction of directed edges whose reverse edge also exists."""
     _require_directed(net, "reciprocity")
-    if not net.edges:
+    core = net.core
+    if not core.out.nnz:
         return None
-    reciprocated = sum(1 for (u, v) in net.edges if (v, u) in net.edges)
-    return reciprocated / len(net.edges)
+    return core.out.multiply(core.inc).nnz / core.out.nnz
 
 
 def flow_hierarchy(net: TransferNetwork) -> float | None:
@@ -108,12 +113,12 @@ def flow_hierarchy(net: TransferNetwork) -> float | None:
     shared component always has size >= 2).
     """
     _require_directed(net, "flow_hierarchy")
-    if not net.edges:
-        return None
     core = net.core
+    if not core.out.nnz:
+        return None
     _, component = connected_components(core.out, directed=True, connection="strong")
     cyclic = int(np.count_nonzero(component[core.sources()] == component[core.out.indices]))
-    return 1.0 - cyclic / len(net.edges)
+    return 1.0 - cyclic / core.out.nnz
 
 
 def clustering(net: TransferNetwork) -> tuple[dict[str, float], float | None, float | None]:
@@ -161,36 +166,26 @@ def _pearson(xs: np.ndarray, ys: np.ndarray) -> float | None:
     return float(((xs - xs.mean()) * (ys - ys.mean())).mean() / (sx * sy))
 
 
-def _endpoints(net: TransferNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices of each edge's endpoints, in `net.edges` order (the order `_pearson` sums in)."""
-    index = net.core.index
-    return (np.array([index[u] for u, _ in net.edges], dtype=np.int64),
-            np.array([index[v] for _, v in net.edges], dtype=np.int64))
-
-
 def assortativity(net: TransferNetwork) -> float | None:
-    """Pearson correlation of (source out-degree, target in-degree) over edges."""
+    """Pearson correlation of (source out-degree, target in-degree) over edges, in CSR order."""
     _require_directed(net, "assortativity")
-    if len(net.edges) < 2:
-        return None
     core = net.core
-    sources, targets = _endpoints(net)
-    xs = np.diff(core.out.indptr)[sources].astype(float)
-    ys = np.diff(core.inc.indptr)[targets].astype(float)
+    if core.out.nnz < 2:
+        return None
+    xs = np.diff(core.out.indptr)[core.sources()].astype(float)
+    ys = np.diff(core.inc.indptr)[core.out.indices].astype(float)
     return _pearson(xs, ys)
 
 
 def assortativity_undirected(net: TransferNetwork) -> float | None:
-    """Degree correlation over the undirected projection, both edge orientations."""
-    sources, targets = _endpoints(net)
-    low, high = np.minimum(sources, targets), np.maximum(sources, targets)
-    # projected edges in the order of their first directed edge
-    _, first = np.unique(low * net.node_count + high, return_index=True)
-    first.sort()
-    if len(first) < 2:
+    """Degree correlation over the undirected projection, both orientations of each upper-triangle pair."""
+    core = net.core.projection
+    sources, targets = core.sources(), core.out.indices
+    upper = sources < targets
+    if np.count_nonzero(upper) < 2:
         return None
-    degree = np.diff(net.core.projection.out.indptr)
-    ends = np.column_stack([degree[low[first]], degree[high[first]]]).astype(float)
+    degree = np.diff(core.out.indptr)
+    ends = np.column_stack([degree[sources[upper]], degree[targets[upper]]]).astype(float)
     return _pearson(ends.ravel(), ends[:, ::-1].ravel())
 
 

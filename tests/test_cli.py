@@ -747,3 +747,52 @@ def test_analyze_sidecar_dir_naming_a_file_is_usage_error(log_file, tmp_path, ca
     code, out, err = run(capsys, *analyze_args(log_file, "--sidecar-dir", taken))
     assert (code, out) == (1, "")
     assert err == f"error: cannot write output: [Errno 17] File exists: '{taken}'\n"
+
+
+
+@pytest.fixture()
+def network_inputs(log_file, tmp_path, capsys):
+    """Placeholder -> path: the log, its GraphML and edge list, an undirected edge list and a category map."""
+    paths = {"log": log_file, "net": tmp_path / "net.graphml", "edges": tmp_path / "net.csv",
+             "pairs": tmp_path / "pairs.csv", "map": tmp_path / "map.csv"}
+    assert run(capsys, "build", log_file, "-o", paths["net"])[0] == 0
+    assert run(capsys, "build", log_file, "--format", "edgelist", "-o", paths["edges"])[0] == 0
+    paths["pairs"].write_text("from,to,weight\nED,ward1,2\nward1,CT,1\n")
+    paths["map"].write_text(CATEGORIES)
+    return paths
+
+
+@pytest.mark.parametrize("command, message", [
+    (["analyze", "{net}", "--categories", "{map}", "--category-policy", "reject-unknown", "--delimiter", ";"],
+     "only an event log read with --from-log takes --delimiter, --categories, --category-policy"),
+    (["analyze", "{edges}", "--admission-col", "id", "--location-col", "ward", "--timestamp-col", "at",
+      "--timestamp-format", "%Y"],
+     "only an event log read with --from-log takes --admission-col, --location-col, --timestamp-col, "
+     "--timestamp-format"),
+    (["analyze", "{log}", "--from-log", "--format", "edgelist"], "an event log read with --from-log does not take --format"),
+    (["analyze", "{log}", "--from-log", "--undirected"], "an event log read with --from-log does not take --undirected"),
+    (["analyze", "{net}", "--undirected"], "a GraphML input does not take --undirected"),
+    (["analyze", "{edges}", "--format", "graphml", "--undirected"], "a GraphML input does not take --undirected"),
+    (["export", "{net}", "--undirected", "--to", "dot"], "a GraphML input does not take --undirected"),
+    (["export", "{edges}", "--source-format", "graphml", "--undirected", "--to", "dot"],
+     "a GraphML input does not take --undirected"),
+])
+def test_an_option_the_input_cannot_use_is_usage_error_before_the_input_is_read(network_inputs, capsys,
+                                                                                monkeypatch, command, message):
+    monkeypatch.setattr(cli, "_network_from_log", _refuse)
+    monkeypatch.setattr(cli, "import_network", _refuse)
+    code, out, err = run(capsys, *[arg.format(**network_inputs) for arg in command])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "{pairs}", "--undirected"],
+    ["analyze", "{log}", "--from-log", "--categories", "{map}", "--delimiter", ",", "--category-policy", "keep-as-is"],
+    ["analyze", "{net}", "--delimiter", ","],  # an option at its default changes nothing
+    ["export", "{pairs}", "--undirected", "--to", "dot"],
+])
+def test_an_option_the_input_can_use_is_accepted(network_inputs, capsys, command):
+    options = ["--boot", "5", "--sw-samples", "1", "--skip", "small_world"] if command[0] == "analyze" else []
+    code, out, _ = run(capsys, *[arg.format(**network_inputs) for arg in command], *options)
+    assert code == 0 and out
