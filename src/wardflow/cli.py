@@ -29,7 +29,7 @@ from .eventlog import (
     read_category_map,
     reconstruct_journeys,
 )
-from .network import TransferNetwork, build_network, export_network, import_network
+from .network import TransferNetwork, build_network, export_network, import_network, network_format
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,12 +37,17 @@ EXIT_INPUT = 2
 EXIT_ANALYSIS = 3
 
 _FORMATS = ("graphml", "dot", "edgelist")
+_NETWORK_HELP = "GraphML or from,to,weight edge list, told apart by the file's first bytes"
 _MODEL_FAMILIES = {
     "ba": "preferential-attachment",
     "ws": "ring-rewire",
     "er": "uniform-random",
     "config": "configuration",
 }
+
+
+class _Refused(Exception):
+    """An option the input cannot use, found from the input's bytes: a usage error, like an option check."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,8 +163,9 @@ def _check_destinations(args) -> None:
     """Raise, before any input is read, the OSError that writing the command's output would meet.
 
     That is an `-o` file whose directory is missing, an `-o` that names an
-    existing directory, or a `--sidecar-dir` that names an existing file.
-    An empty path for either option is a ValueError that names the option.
+    existing directory, or a `--sidecar-dir` that names an existing file or
+    lies below one. An empty path for either option is a ValueError that
+    names the option.
     """
     output = getattr(args, "output", None)
     sidecars = getattr(args, "sidecar_dir", None)
@@ -172,8 +178,11 @@ def _check_destinations(args) -> None:
             raise OSError(code, os.strerror(code), output)
         if Path(output).is_dir():
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), output)
-    if sidecars is not None and Path(sidecars).exists() and not Path(sidecars).is_dir():
-        raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), sidecars)
+    if sidecars is not None:
+        existing = next(path for path in (Path(sidecars), *Path(sidecars).parents) if path.exists())
+        if not existing.is_dir():
+            code = errno.EEXIST if existing == Path(sidecars) else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), sidecars)
 
 
 def _flags(names: list[str]) -> str:
@@ -183,22 +192,20 @@ def _flags(names: list[str]) -> str:
 def _check_input_options(args) -> None:
     """Raise a ValueError, before any input is read, for an option the command's input cannot use.
 
-    `analyze` reads the event-log options only with --from-log, and --format
-    and --undirected only without it; a log option counts as given when it
-    differs from its default. A GraphML input takes its direction from its
-    edgedefault, so `analyze` and `export` refuse --undirected for one.
+    `analyze` reads the event-log options only with --from-log, and
+    --undirected only without it; a log option counts as given when it
+    differs from its default. Whether a network file takes --undirected
+    depends on its format, so `_read_network` decides that from its bytes.
     """
-    if args.command == "analyze" and args.from_log:
-        given = [name for name in ("format", "undirected") if getattr(args, name)]
-        if given:
-            raise ValueError(f"an event log read with --from-log does not take {_flags(given)}")
+    if args.command != "analyze":
         return
-    if args.command == "analyze":
-        given = [name for name, default in _LOG_DEFAULTS.items() if getattr(args, name) != default]
-        if given:
-            raise ValueError(f"only an event log read with --from-log takes {_flags(given)}")
-    if args.command in ("analyze", "export") and args.undirected and _input_format(args) == "graphml":
-        raise ValueError("a GraphML input does not take --undirected: its edgedefault sets the direction")
+    if args.from_log:
+        if args.undirected:
+            raise ValueError("an event log read with --from-log does not take --undirected")
+        return
+    given = [name for name, default in _LOG_DEFAULTS.items() if getattr(args, name) != default]
+    if given:
+        raise ValueError(f"only an event log read with --from-log takes {_flags(given)}")
 
 
 def _write_output(payload: bytes, destination: str | None) -> int:
@@ -226,9 +233,18 @@ def cmd_build(args) -> int:
     return _write_output(payload, args.output)
 
 
-def _input_format(args) -> str:
-    """The format of a network input: the one given, else `.csv` is an edge list and anything else GraphML."""
-    return args.format or ("edgelist" if Path(args.network).suffix.lower() == ".csv" else "graphml")
+def _read_network(args) -> tuple[TransferNetwork, bytes]:
+    """The network of the network file that `analyze` or `export` reads, and the file's bytes.
+
+    The format is read from the bytes (`network_format`), not from the file
+    name. A GraphML document takes its direction from its edgedefault, so
+    --undirected with one is refused before it is parsed.
+    """
+    data = Path(args.network).read_bytes()
+    fmt = network_format(data)
+    if fmt == "graphml" and args.undirected:
+        raise _Refused("a GraphML input does not take --undirected: its edgedefault sets the direction")
+    return import_network(data, fmt, directed=not args.undirected), data
 
 
 def _load_network(args):
@@ -236,8 +252,7 @@ def _load_network(args):
     if args.from_log:
         net, stats = _network_from_log(args.network, args)
         return net, stats, _file_digest([args.network] + ([args.categories] if args.categories else []))
-    data = Path(args.network).read_bytes()
-    net = import_network(data, _input_format(args), directed=not args.undirected)
+    net, data = _read_network(args)
     return net, None, hashlib.sha256(data).hexdigest()
 
 
@@ -310,8 +325,7 @@ def cmd_synth(args) -> int:
 
 def cmd_export(args) -> int:
     try:
-        data = Path(args.network).read_bytes()
-        net = import_network(data, _input_format(args), directed=not args.undirected)
+        net, _ = _read_network(args)
         payload = export_network(net, args.to)
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -334,11 +348,9 @@ def _build_parser() -> _Parser:
     # the analysis options carry no defaults here: AnalysisOptions holds them, and their checks
     analyze = sub.add_parser("analyze", help="network file -> JSON report on stdout",
                              argument_default=argparse.SUPPRESS)
-    analyze.add_argument("network")
+    analyze.add_argument("network", help=_NETWORK_HELP + "; an event log CSV with --from-log")
     analyze.add_argument("--from-log", action="store_true", default=False, help="treat the input as an event log CSV")
     _add_log_options(analyze)
-    analyze.add_argument("--format", choices=("graphml", "edgelist"), default=None,
-                         help="input format override")
     analyze.add_argument("--undirected", action="store_true", default=False, help="edge-list input is undirected")
     analyze.add_argument("--quantile", type=float)
     analyze.add_argument("--role-threshold-sd", type=float)
@@ -370,8 +382,7 @@ def _build_parser() -> _Parser:
     synth.set_defaults(func=cmd_synth)
 
     export = sub.add_parser("export", help="convert a network file between formats")
-    export.add_argument("network")
-    export.add_argument("--source-format", dest="format", choices=("graphml", "edgelist"), default=None)
+    export.add_argument("network", help=_NETWORK_HELP)
     export.add_argument("--undirected", action="store_true")
     export.add_argument("--to", choices=_FORMATS, required=True)
     export.add_argument("-o", "--output", default=None)
@@ -395,7 +406,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,6 +17,19 @@ if TYPE_CHECKING:
     from .paths import GraphCore
 
 EDGE_LIST_HEADER = ["from", "to", "weight"]
+# a GraphML document opens with "<" after an optional UTF-8 byte-order mark and XML whitespace,
+# or with a UTF-16 byte-order mark; no edge list does, since its header starts with "from"
+_GRAPHML_START = re.compile(rb"(?:\xef\xbb\xbf)?[ \t\r\n]*<|\xff\xfe|\xfe\xff")
+
+
+def network_format(data: bytes) -> str:
+    """The format of a serialized network, read from its first bytes: 'graphml' or 'edgelist'.
+
+    Anything that does not open as a GraphML document is taken for an edge
+    list, whose header check then reports a bad first row.
+    """
+    return "graphml" if _GRAPHML_START.match(data) else "edgelist"
+
 
 _GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 _GRAPHML_HEAD = (

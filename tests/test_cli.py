@@ -749,13 +749,32 @@ def test_analyze_sidecar_dir_naming_a_file_is_usage_error(log_file, tmp_path, ca
     assert err == f"error: cannot write output: [Errno 17] File exists: '{taken}'\n"
 
 
+@pytest.mark.parametrize("from_log", [True, False])
+def test_analyze_sidecar_dir_below_a_file_is_usage_error(log_file, tmp_path, capsys, monkeypatch, from_log):
+    net = tmp_path / "net.graphml"
+    assert run(capsys, "build", log_file, "-o", net)[0] == 0
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    below = taken / "sub" / "dir"
+    # checked before the input is read and before any section runs
+    monkeypatch.setattr(cli, "_network_from_log", _refuse)
+    monkeypatch.setattr(cli, "import_network", _refuse)
+    monkeypatch.setattr(cli.report_mod, "build_report", _refuse)
+    argv = analyze_args(log_file) if from_log else ["analyze", net, "--boot", "5", "--sw-samples", "1"]
+    code, out, err = run(capsys, *argv, "--sidecar-dir", below)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write output: [Errno 20] Not a directory: '{below}'\n"
+
+
 
 @pytest.fixture()
 def network_inputs(log_file, tmp_path, capsys):
-    """Placeholder -> path: the log, its GraphML and edge list, an undirected edge list and a category map."""
+    """Placeholder -> path: the log, its GraphML and edge list, an undirected edge list, a category map,
+    and the GraphML again under a `.csv` name."""
     paths = {"log": log_file, "net": tmp_path / "net.graphml", "edges": tmp_path / "net.csv",
-             "pairs": tmp_path / "pairs.csv", "map": tmp_path / "map.csv"}
+             "pairs": tmp_path / "pairs.csv", "map": tmp_path / "map.csv", "net_csv": tmp_path / "graphml.csv"}
     assert run(capsys, "build", log_file, "-o", paths["net"])[0] == 0
+    paths["net_csv"].write_bytes(paths["net"].read_bytes())
     assert run(capsys, "build", log_file, "--format", "edgelist", "-o", paths["edges"])[0] == 0
     paths["pairs"].write_text("from,to,weight\nED,ward1,2\nward1,CT,1\n")
     paths["map"].write_text(CATEGORIES)
@@ -769,13 +788,11 @@ def network_inputs(log_file, tmp_path, capsys):
       "--timestamp-format", "%Y"],
      "only an event log read with --from-log takes --admission-col, --location-col, --timestamp-col, "
      "--timestamp-format"),
-    (["analyze", "{log}", "--from-log", "--format", "edgelist"], "an event log read with --from-log does not take --format"),
     (["analyze", "{log}", "--from-log", "--undirected"], "an event log read with --from-log does not take --undirected"),
     (["analyze", "{net}", "--undirected"], "a GraphML input does not take --undirected"),
-    (["analyze", "{edges}", "--format", "graphml", "--undirected"], "a GraphML input does not take --undirected"),
+    (["analyze", "{net_csv}", "--undirected"], "a GraphML input does not take --undirected"),
     (["export", "{net}", "--undirected", "--to", "dot"], "a GraphML input does not take --undirected"),
-    (["export", "{edges}", "--source-format", "graphml", "--undirected", "--to", "dot"],
-     "a GraphML input does not take --undirected"),
+    (["export", "{net_csv}", "--undirected", "--to", "dot"], "a GraphML input does not take --undirected"),
 ])
 def test_an_option_the_input_cannot_use_is_usage_error_before_the_input_is_read(network_inputs, capsys,
                                                                                 monkeypatch, command, message):
@@ -796,3 +813,34 @@ def test_an_option_the_input_can_use_is_accepted(network_inputs, capsys, command
     options = ["--boot", "5", "--sw-samples", "1", "--skip", "small_world"] if command[0] == "analyze" else []
     code, out, _ = run(capsys, *[arg.format(**network_inputs) for arg in command], *options)
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("command", [["analyze", "{net}", "--format", "graphml"],
+                                     ["export", "{net}", "--source-format", "graphml", "--to", "dot"]])
+def test_an_input_format_option_is_usage_error(network_inputs, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "import_network", _refuse)
+    code, out, err = run(capsys, *[arg.format(**network_inputs) for arg in command])
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --" in err
+
+
+@pytest.mark.parametrize("source, renamed", [("net", "copy.csv"), ("edges", "copy.txt"), ("pairs", "copy")])
+def test_a_network_file_is_read_by_its_bytes_not_its_name(network_inputs, tmp_path, capsys, source, renamed):
+    copy = tmp_path / renamed
+    copy.write_bytes(network_inputs[source].read_bytes())
+    for command in (["analyze", "--boot", "5", "--sw-samples", "1", "--seed", "2"], ["export", "--to", "dot"]):
+        outputs = [run(capsys, command[0], path, *command[1:]) for path in (network_inputs[source], copy)]
+        assert outputs[0][:2] == outputs[1][:2] and outputs[0][0] == 0 and outputs[0][1]
+
+
+def test_a_bom_edge_list_and_an_indented_graphml_are_read(network_inputs, tmp_path, capsys):
+    edges, graphml = network_inputs["edges"].read_bytes(), network_inputs["net"].read_bytes()
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + edges)
+    # whitespace may come before the root element, but not before an XML declaration
+    declaration, body = graphml.split(b"\n", 1)
+    assert declaration.startswith(b"<?xml")
+    indented = tmp_path / "indented.csv"
+    indented.write_bytes(b"\xef\xbb\xbf \r\n\t" + body)
+    for path, plain in ((bom, network_inputs["edges"]), (indented, network_inputs["net"])):
+        assert run(capsys, "export", path, "--to", "dot") == run(capsys, "export", plain, "--to", "dot")

@@ -15,6 +15,7 @@ from wardflow.network import (
     build_network,
     export_network,
     import_network,
+    network_format,
     undirected_projection,
 )
 
@@ -172,6 +173,24 @@ def test_unsupported_format_errors():
         export_network(net, "gexf")
     with pytest.raises(ValueError):
         import_network(b"", "dot")
+
+
+@pytest.mark.parametrize("data, fmt", [
+    (b"<?xml version='1.0' encoding='utf-8'?>\n<graphml/>", "graphml"),
+    (b"<graphml/>", "graphml"),
+    (b" \t\r\n<graphml/>", "graphml"),
+    (b"\xef\xbb\xbf\n<graphml/>", "graphml"),
+    ("<graphml/>".encode("utf-16"), "graphml"),
+    (b"\xfe\xff" + "<graphml/>".encode("utf-16-be"), "graphml"),
+    (b"from,to,weight\na,b,1\n", "edgelist"),
+    (b"\xef\xbb\xbffrom,to,weight\n", "edgelist"),
+    (b"", "edgelist"),
+    (b"\n\n", "edgelist"),
+    (b"a,<b,1\n", "edgelist"),
+    (b"\xef\xbb\xbf\xef\xbb\xbf<graphml/>", "edgelist"),
+])
+def test_network_format_is_read_from_the_first_bytes(data, fmt):
+    assert network_format(data) == fmt
 
 
 def test_dot_export_contains_nodes_edges_and_categories():
