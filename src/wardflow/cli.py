@@ -1,5 +1,9 @@
 """Command-line interface: build, analyze, synth, and export.
 
+`main` parses the command line, checks it before any input is read, and
+runs the command; it alone turns a `_UsageError` or `_InputError` that the
+check or the command raises into one stderr line and an exit code.
+
 Each command loads what it runs: the analysis modules and `synth` are
 registered lazily by the package, so numpy and scipy load when `analyze`
 or `synth` first calls into them, and `--version`, `build` and `export`
@@ -8,6 +12,7 @@ load neither.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -46,8 +51,30 @@ _MODEL_FAMILIES = {
 }
 
 
-class _Refused(Exception):
-    """An option the input cannot use, found from the input's bytes: a usage error, like an option check."""
+class _UsageError(Exception):
+    """A command line the command cannot run as given, or an output it cannot write: exit 1."""
+
+
+class _InputError(Exception):
+    """An input that cannot be read, parsed or generated: exit 2."""
+
+
+@contextlib.contextmanager
+def _reading_input():
+    """Raise an OSError or ValueError met while reading, parsing or generating the input as an `_InputError`."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise _InputError(exc) from exc
+
+
+@contextlib.contextmanager
+def _writing_output():
+    """Raise an OSError met while writing the output as a `_UsageError`: the path argument is at fault."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write output: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,84 +180,83 @@ def _file_digest(paths: list[str]) -> str:
     return digest.hexdigest()
 
 
-def _output_error(exc: OSError) -> int:
-    """Report a path the command could not write; the bad path argument is a usage error."""
-    print(f"error: cannot write output: {exc}", file=sys.stderr)
-    return EXIT_USAGE
+def _check_destination(path: str, makes_dirs: bool) -> None:
+    """Raise, before any input is read, the OSError that writing the output to `path` would meet.
 
-
-def _check_destinations(args) -> None:
-    """Raise, before any input is read, the OSError that writing the command's output would meet.
-
-    That is an `-o` file whose directory is missing, an `-o` that names an
-    existing directory, or a `--sidecar-dir` that names an existing file or
-    lies below one. An empty path for either option is a ValueError that
-    names the option.
+    `path` is an `-o` file, whose directory must exist, or a `--sidecar-dir`
+    directory, made with its missing parents. The nearest existing path at
+    or above `path` decides: it must be a directory unless it is an `-o` file
+    itself, and this process must be able to write to it.
     """
-    output = getattr(args, "output", None)
-    sidecars = getattr(args, "sidecar_dir", None)
-    for option, path in (("-o/--output", output), ("--sidecar-dir", sidecars)):
-        if path == "":
-            raise ValueError(f"{option} needs a path, got an empty one")
-    if output not in (None, "-"):
-        if not Path(output).parent.is_dir():
-            code = errno.ENOTDIR if Path(output).parent.exists() else errno.ENOENT
-            raise OSError(code, os.strerror(code), output)
-        if Path(output).is_dir():
-            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), output)
-    if sidecars is not None:
-        existing = next(path for path in (Path(sidecars), *Path(sidecars).parents) if path.exists())
-        if not existing.is_dir():
-            code = errno.EEXIST if existing == Path(sidecars) else errno.ENOTDIR
-            raise OSError(code, os.strerror(code), sidecars)
+    target = Path(path)
+    existing = next(parent for parent in (target, *target.parents) if parent.exists())
+    if existing != target and not existing.is_dir():
+        code = errno.ENOTDIR
+    elif existing == target and existing.is_dir() != makes_dirs:
+        code = errno.EEXIST if makes_dirs else errno.EISDIR
+    elif not makes_dirs and existing not in (target, target.parent):
+        code = errno.ENOENT
+    elif not os.access(existing, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _flags(names: list[str]) -> str:
     return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
-def _check_input_options(args) -> None:
-    """Raise a ValueError, before any input is read, for an option the command's input cannot use.
+def _check_usage(args) -> None:
+    """Raise a `_UsageError`, before any input is read, for a command line the command cannot run.
 
-    `analyze` reads the event-log options only with --from-log, and
-    --undirected only without it; a log option counts as given when it
-    differs from its default. Whether a network file takes --undirected
-    depends on its format, so `_read_network` decides that from its bytes.
+    That is an output it could not write, an option its input cannot use
+    (a log option counts as given when it differs from its default), or an
+    `analyze` option out of range; `analyze` gets its `AnalysisOptions` here,
+    as `args.options`. Whether a network file takes --undirected depends on
+    its format, so `_read_network` decides that from the file's bytes.
     """
+    for option, path, makes_dirs in (("-o/--output", getattr(args, "output", None), False),
+                                     ("--sidecar-dir", getattr(args, "sidecar_dir", None), True)):
+        if path == "":
+            raise _UsageError(f"{option} needs a path, got an empty one")
+        if path is not None and (makes_dirs or path != "-"):  # `-o -` is stdout
+            with _writing_output():
+                _check_destination(path, makes_dirs)
     if args.command != "analyze":
         return
-    if args.from_log:
-        if args.undirected:
-            raise ValueError("an event log read with --from-log does not take --undirected")
-        return
+    if args.from_log and args.undirected:
+        raise _UsageError("an event log read with --from-log does not take --undirected")
     given = [name for name, default in _LOG_DEFAULTS.items() if getattr(args, name) != default]
-    if given:
-        raise ValueError(f"only an event log read with --from-log takes {_flags(given)}")
+    if given and not args.from_log:
+        raise _UsageError(f"only an event log read with --from-log takes {_flags(given)}")
+    # argparse holds only the options given; an empty --attack or --skip counts as not given
+    names = {field.name for field in dataclasses.fields(report_mod.AnalysisOptions)}
+    try:
+        args.options = report_mod.AnalysisOptions(
+            **{name: value for name, value in vars(args).items() if name in names and value != []})
+    except ValueError as exc:
+        raise _UsageError(exc) from exc
 
 
-def _write_output(payload: bytes, destination: str | None) -> int:
+def _write_output(payload: bytes, destination: str | None) -> None:
     if destination is None or destination == "-":
         sys.stdout.buffer.write(payload)
-        return EXIT_OK
-    try:
+        return
+    with _writing_output():
         Path(destination).write_bytes(payload)
-    except OSError as exc:
-        return _output_error(exc)
-    return EXIT_OK
 
 
 def cmd_build(args) -> int:
-    try:
+    with _reading_input():
         net, stats = _network_from_log(args.log, args)
         payload = export_network(net, args.format)
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     print(
         f"rows read: {stats.rows_read}, rejected: {stats.rows_rejected} {dict(sorted(stats.rejections.items()))}",
         file=sys.stderr,
     )
-    return _write_output(payload, args.output)
+    _write_output(payload, args.output)
+    return EXIT_OK
 
 
 def _read_network(args) -> tuple[TransferNetwork, bytes]:
@@ -238,22 +264,20 @@ def _read_network(args) -> tuple[TransferNetwork, bytes]:
 
     The format is read from the bytes (`network_format`), not from the file
     name. A GraphML document takes its direction from its edgedefault, so
-    --undirected with one is refused before it is parsed.
+    --undirected with one is a usage error before it is parsed.
     """
     data = Path(args.network).read_bytes()
     fmt = network_format(data)
     if fmt == "graphml" and args.undirected:
-        raise _Refused("a GraphML input does not take --undirected: its edgedefault sets the direction")
+        raise _UsageError("a GraphML input does not take --undirected: its edgedefault sets the direction")
     return import_network(data, fmt, directed=not args.undirected), data
 
 
-def _load_network(args):
-    """The network, its ingest tally (None for network files), and the digest of every input file."""
-    if args.from_log:
-        net, stats = _network_from_log(args.network, args)
-        return net, stats, _file_digest([args.network] + ([args.categories] if args.categories else []))
-    net, data = _read_network(args)
-    return net, None, hashlib.sha256(data).hexdigest()
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_sidecars(report: dict, net: TransferNetwork, directory: str) -> None:
@@ -261,45 +285,28 @@ def _write_sidecars(report: dict, net: TransferNetwork, directory: str) -> None:
     base.mkdir(parents=True, exist_ok=True)
     metrics = report.get("network_metrics") or {}
     distribution = metrics.get("degree_distribution") or {}
-    with open(base / "degree_distribution.csv", "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["degree", "probability"])
-        for k in sorted(distribution, key=int):
-            writer.writerow([k, distribution[k]])
+    _write_csv(base / "degree_distribution.csv", ["degree", "probability"],
+               ([k, distribution[k]] for k in sorted(distribution, key=int)))
     _, curve = metrics_mod.knn(net)  # by projected degree, the curve `fits.knn_degree` fits
-    with open(base / "knn_curve.csv", "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["degree", "mean_knn_weighted"])
-        writer.writerows(curve.items())
+    _write_csv(base / "knn_curve.csv", ["degree", "mean_knn_weighted"], curve.items())
+    columns = ["fraction_removed", "wcc_fraction", "scc_fraction", "efficiency"]
     for strategy, attack in (report.get("resilience") or {}).items():
-        with open(base / f"attack_{strategy}.csv", "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["fraction_removed", "wcc_fraction", "scc_fraction", "efficiency"])
-            for step in attack["steps"]:
-                writer.writerow([step["fraction_removed"], step["wcc_fraction"],
-                                 step["scc_fraction"], step["efficiency"]])
+        _write_csv(base / f"attack_{strategy}.csv", columns,
+                   ([step[column] for column in columns] for step in attack["steps"]))
 
 
 def cmd_analyze(args) -> int:
-    # argparse holds only the options given; an empty --attack or --skip counts as not given
-    names = {field.name for field in dataclasses.fields(report_mod.AnalysisOptions)}
-    given = {name: value for name, value in vars(args).items() if name in names and value != []}
-    try:
-        options = report_mod.AnalysisOptions(**given)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        net, stats, digest = _load_network(args)
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = report_mod.build_report(net, options, ingest=stats, digest=digest)
+    with _reading_input():
+        if args.from_log:
+            net, stats = _network_from_log(args.network, args)
+            digest = _file_digest([args.network] + ([args.categories] if args.categories else []))
+        else:
+            net, data = _read_network(args)
+            stats, digest = None, hashlib.sha256(data).hexdigest()
+    report = report_mod.build_report(net, args.options, ingest=stats, digest=digest)
     if args.sidecar_dir is not None:
-        try:
+        with _writing_output():
             _write_sidecars(report, net, args.sidecar_dir)
-        except OSError as exc:
-            return _output_error(exc)
     text = json.dumps(report, indent=2, allow_nan=False)
     print(text)
     return EXIT_ANALYSIS if report.get("all_sections_failed") else EXIT_OK
@@ -307,30 +314,26 @@ def cmd_analyze(args) -> int:
 
 def cmd_synth(args) -> int:
     family = _MODEL_FAMILIES[args.model]
-    try:
+    with _reading_input():
         spec = synth_mod.ModelSpec(family=family, n=args.n, seed=args.seed, m=args.m, k=args.k,
                                    p=args.p, degrees=args.degrees)
         net = synth_mod.generate_network(spec)
         journeys, stats = synth_mod.generate_event_log(
             net, args.journeys, synth_mod.geometric_stop_lengths(args.mean_stops), seed=args.seed
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     buffer = io.StringIO()
     synth_mod.write_event_log_csv(journeys, buffer)
     print(f"journeys: {len(journeys)}, truncated: {stats.truncated_journeys}", file=sys.stderr)
-    return _write_output(buffer.getvalue().encode("utf-8"), args.output)
+    _write_output(buffer.getvalue().encode("utf-8"), args.output)
+    return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    try:
+    with _reading_input():
         net, _ = _read_network(args)
         payload = export_network(net, args.to)
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return _write_output(payload, args.output)
+    _write_output(payload, args.output)
+    return EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -399,18 +402,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_destinations(args)
-        _check_input_options(args)
-    except OSError as exc:
-        return _output_error(exc)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        _check_usage(args)
         return args.func(args)
-    except _Refused as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ if TYPE_CHECKING:
 
 EDGE_LIST_HEADER = ["from", "to", "weight"]
 # a GraphML document opens with "<" after an optional UTF-8 byte-order mark and XML whitespace,
-# or with a UTF-16 byte-order mark; no edge list does, since its header starts with "from"
-_GRAPHML_START = re.compile(rb"(?:\xef\xbb\xbf)?[ \t\r\n]*<|\xff\xfe|\xfe\xff")
+# or does so in UTF-16 after a UTF-16 byte-order mark; no edge list does, as its header starts "from"
+_GRAPHML_START = re.compile(
+    rb"(?:\xef\xbb\xbf)?[ \t\r\n]*<|\xff\xfe(?:[ \t\r\n]\x00)*<\x00|\xfe\xff(?:\x00[ \t\r\n])*\x00<")
 
 
 def network_format(data: bytes) -> str:
@@ -171,7 +172,11 @@ def _export_edgelist(net: TransferNetwork) -> bytes:
 
 
 def _import_edgelist(data: bytes, directed: bool) -> TransferNetwork:
-    with csv_rows(io.StringIO(data.decode("utf-8-sig")), "edge list") as reader:
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"an edge list must be UTF-8 text: {exc}") from None
+    with csv_rows(io.StringIO(text), "edge list") as reader:
         header = next(reader, None)
         if header != EDGE_LIST_HEADER:
             raise ValueError(f"expected header {EDGE_LIST_HEADER}, got {header}")

@@ -293,15 +293,16 @@ def test_synth_degree_distribution_matches_generator(tmp_path, capsys):
 
 
 def test_synth_invalid_model_params_exit_two(capsys):
-    code, _, err = run(capsys, "synth", "--model", "ws", "--n", "10", "--k", "3",
-                       "--p", "0.1", "--journeys", "5")
-    assert code == 2
+    code, out, err = run(capsys, "synth", "--model", "ws", "--n", "10", "--k", "3",
+                         "--p", "0.1", "--journeys", "5")
+    assert (code, out) == (2, "")
+    assert err == "input error: ring rewiring needs even k with 0 < k < n\n"
 
 
 def test_synth_negative_journey_count_exit_two(capsys):
     code, out, err = run(capsys, "synth", "--model", "er", "--n", "5", "--p", "0.5", "--journeys", "-1")
     assert code == 2 and out == ""
-    assert "n_journeys must be >= 0, got -1" in err
+    assert err == "input error: n_journeys must be >= 0, got -1\n"
 
 
 def test_synth_degrees_that_are_not_integers_are_a_usage_error(capsys):
@@ -316,7 +317,7 @@ def test_synth_non_finite_mean_stops_exit_two(capsys, mean, journeys):
     code, out, err = run(capsys, "synth", "--model", "er", "--n", "5", "--p", "0.5",
                          "--journeys", journeys, "--mean-stops", mean)
     assert code == 2 and out == ""
-    assert f"error: mean must be a finite number above minimum - 1, got {mean}" in err
+    assert err == f"input error: mean must be a finite number above minimum - 1, got {mean}\n"
 
 
 def test_export_graphml_to_dot(log_file, tmp_path, capsys):
@@ -681,12 +682,15 @@ def test_output_to_a_missing_directory_is_usage_error(log_file, tmp_path, capsys
     monkeypatch.setattr(cli, "_network_from_log", _refuse)
     monkeypatch.setattr(cli, "import_network", _refuse)
     monkeypatch.setattr(cli.synth_mod, "generate_network", _refuse)
-    target = tmp_path / "missing" / "out"
+    taken = tmp_path / "taken"
+    taken.write_text("")
     argv = [arg.format(log=log_file, net=net) for arg in command]
-    code, out, err = run(capsys, *argv, "-o", target)
-    assert (code, out) == (1, "")
-    assert err == f"error: cannot write output: [Errno 2] No such file or directory: '{target}'\n"
-    assert not target.parent.exists()
+    for target, problem in ((tmp_path / "missing" / "out", "[Errno 2] No such file or directory"),
+                            (taken / "sub" / "out", "[Errno 20] Not a directory")):
+        code, out, err = run(capsys, *argv, "-o", target)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write output: {problem}: '{target}'\n"
+    assert not (tmp_path / "missing").exists() and taken.is_file()
 
 
 @pytest.mark.parametrize("command", [["build", "{log}"], ["export", "{net}", "--to", "dot"],
@@ -702,6 +706,38 @@ def test_output_naming_an_existing_directory_is_usage_error(log_file, tmp_path, 
     code, out, err = run(capsys, *argv, "-o", tmp_path)
     assert (code, out) == (1, "")
     assert err == f"error: cannot write output: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("command", [["build", "{log}", "-o", "{out}"],
+                                     ["export", "{net}", "--to", "dot", "-o", "{out}"],
+                                     ["synth", "--model", "ba", "--n", "10", "--m", "2", "--journeys", "5", "-o", "{out}"],
+                                     ["analyze", "{net}", "--sidecar-dir", "{out}"]])
+@pytest.mark.parametrize("exists", [True, False])
+def test_a_destination_the_process_cannot_write_is_usage_error_before_the_input_is_read(
+        log_file, tmp_path, capsys, monkeypatch, command, exists):
+    net = tmp_path / "net.graphml"
+    assert run(capsys, "build", log_file, "-o", net)[0] == 0
+    target = tmp_path / "out"
+    if exists and command[0] == "analyze":  # a --sidecar-dir that is there
+        target.mkdir()
+    elif exists:  # an -o file to overwrite
+        target.write_text("")
+    monkeypatch.setattr(cli, "_network_from_log", _refuse)
+    monkeypatch.setattr(cli, "import_network", _refuse)
+    monkeypatch.setattr(cli.synth_mod, "generate_network", _refuse)
+    monkeypatch.setattr(cli.report_mod, "build_report", _refuse)
+    # root writes anywhere whatever the permission bits, so the permission check is what is faked
+    checked = []
+
+    def deny(path, mode):
+        checked.append((Path(path), mode))
+        return False
+
+    monkeypatch.setattr(cli.os, "access", deny)
+    code, out, err = run(capsys, *[arg.format(log=log_file, net=net, out=target) for arg in command])
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write output: [Errno 13] Permission denied: '{target}'\n"
+    assert checked == [(target if exists else tmp_path, os.W_OK)]
 
 
 @pytest.mark.parametrize("argv", [["build"], ["analyze", "--from-log", "--skip", "small_world"]])
@@ -831,6 +867,36 @@ def test_a_network_file_is_read_by_its_bytes_not_its_name(network_inputs, tmp_pa
     for command in (["analyze", "--boot", "5", "--sw-samples", "1", "--seed", "2"], ["export", "--to", "dot"]):
         outputs = [run(capsys, command[0], path, *command[1:]) for path in (network_inputs[source], copy)]
         assert outputs[0][:2] == outputs[1][:2] and outputs[0][0] == 0 and outputs[0][1]
+
+
+def test_a_utf16_edge_list_is_input_error_that_names_utf8(tmp_path, capsys):
+    edges = tmp_path / "u16.txt"
+    edges.write_bytes("from,to,weight\na,b,1\n".encode("utf-16"))
+    code, out, err = run(capsys, "export", edges, "--to", "dot")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: an edge list must be UTF-8 text: ") and err.count("\n") == 1
+
+
+# per command: a usage error (exit 1) and an input error (exit 2)
+_EXIT_CASES = {
+    "build": (["build", "{log}", "--delimiter", ";;"], ["build", "{missing}"]),
+    "analyze": (["analyze", "{net}", "--boot", "-1"], ["analyze", "{missing}"]),
+    "export": (["export", "{net}", "--to", "gexf"], ["export", "{missing}", "--to", "dot"]),
+    "synth": (["synth", "--model", "er", "--n", "5", "--p", "0.5", "--journeys", "5", "--seed", "-1"],
+              ["synth", "--model", "ws", "--n", "10", "--k", "3", "--p", "0.1", "--journeys", "5"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EXIT_CASES))
+def test_exit_codes_and_their_stderr_prefixes(network_inputs, tmp_path, capsys, command):
+    paths = dict(network_inputs, missing=tmp_path / "missing.csv")
+    usage, bad_input = ([arg.format(**paths) for arg in argv] for argv in _EXIT_CASES[command])
+    code, out, err = run(capsys, *usage)
+    assert (code, out) == (1, "")
+    assert (err.startswith("error: ") and err.count("\n") == 1) or err.startswith("usage: wardflow")
+    code, out, err = run(capsys, *bad_input)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_a_bom_edge_list_and_an_indented_graphml_are_read(network_inputs, tmp_path, capsys):

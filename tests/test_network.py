@@ -184,6 +184,7 @@ def test_unsupported_format_errors():
     (b"\xfe\xff" + "<graphml/>".encode("utf-16-be"), "graphml"),
     (b"from,to,weight\na,b,1\n", "edgelist"),
     (b"\xef\xbb\xbffrom,to,weight\n", "edgelist"),
+    ("from,to,weight\n".encode("utf-16"), "edgelist"),
     (b"", "edgelist"),
     (b"\n\n", "edgelist"),
     (b"a,<b,1\n", "edgelist"),
