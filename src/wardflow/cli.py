@@ -237,6 +237,11 @@ def _check_usage(args) -> None:
             **{name: value for name, value in vars(args).items() if name in names and value != []})
     except ValueError as exc:
         raise _UsageError(exc) from exc
+    # a sidecar directory that is there may already hold a name the run will write, as a directory
+    if args.sidecar_dir is not None and Path(args.sidecar_dir).is_dir():
+        with _writing_output():
+            for name in _sidecar_names(args.options):
+                _check_destination(os.path.join(args.sidecar_dir, name), makes_dirs=False)
 
 
 def _write_output(payload: bytes, destination: str | None) -> None:
@@ -278,6 +283,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _sidecar_names(options) -> list[str]:
+    """The files that `_write_sidecars` may write for an analysis with these options."""
+    attacks = () if "resilience" in options.skip else options.attack_strategies
+    return ["degree_distribution.csv", "knn_curve.csv", *(f"attack_{strategy}.csv" for strategy in attacks)]
 
 
 def _write_sidecars(report: dict, net: TransferNetwork, directory: str) -> None:

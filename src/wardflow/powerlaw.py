@@ -2,13 +2,14 @@
 
 The tail model is the discrete power law p(x) ~ x^-gamma on integers
 x >= xmin, normalized by the Hurwitz zeta function. gamma is the exact
-maximum-likelihood estimate (numerical maximization of the zeta
-log-likelihood); xmin is chosen by scanning observed values for the
-smallest Kolmogorov-Smirnov distance between the empirical tail CDF and
-the fitted model. Goodness of fit uses the semi-parametric bootstrap:
-synthesize datasets from the fitted model (empirical resampling below
-xmin), refit each with the same xmin scan, and report the fraction of
-replicates whose KS distance reaches the observed one.
+maximum-likelihood estimate (Brent's method on the zeta log-likelihood,
+warm-started from the continuous approximation); xmin is chosen by
+scanning observed values for the smallest Kolmogorov-Smirnov distance
+between the empirical tail CDF and the fitted model. Goodness of fit
+uses the semi-parametric bootstrap: synthesize datasets from the fitted
+model (empirical resampling below xmin), refit each with the same xmin
+scan, and report the fraction of replicates whose KS distance reaches
+the observed one.
 
 The regressions read tables, never a network: strength and betweenness
 against degree come from the node table of `metrics.compute_node_metrics`,
@@ -34,7 +35,10 @@ KNN_DEGREE = "knn-degree-linear"
 
 _GAMMA_LO = 1.0 + 1e-6
 _GAMMA_HI = 64.0
-_GOLDEN_ITERS = 64
+# The gamma solver's relative tolerance: Brent's floor, the square root of the float64 epsilon. Nearer
+# the maximum the log-likelihood differences fall below float resolution, so smaller steps only add evaluations.
+_GAMMA_RTOL = math.sqrt(np.finfo(float).eps)
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction of Brent's fallback steps
 _DENSE_CAP = 8192
 _CANDIDATE_CHUNK = 256
 _TABLE_FLOOR = 1e-6
@@ -43,7 +47,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 # the bootstrap interval's coverage and the studentized residual beyond which a regression flags an outlier
 _CI_LEVEL = 0.95
 _OUTLIER_THRESHOLD = 2.0
-# a batched fit runs one golden section per group of samples holding this many xmin candidates
+# a batched fit runs one `_mle_gamma` call per group of samples holding this many xmin candidates
 _GROUP_CANDIDATES = 1 << 16
 # Below this many drawn values (replicates × sample size) the bootstrap runs in
 # this process: starting forked workers costs more than the refits save. On 2
@@ -91,30 +95,76 @@ def _prepare(samples: Iterable[int]) -> np.ndarray:
 
 
 def _mle_gamma(n_tail: np.ndarray, log_sum: np.ndarray, xmin: np.ndarray) -> np.ndarray:
-    """Maximize -n*log(zeta(g, xmin)) - g*log_sum per candidate (golden section).
+    """Maximize -n*log(zeta(g, xmin)) - g*log_sum per candidate, by Brent's method on [_GAMMA_LO, _GAMMA_HI].
 
-    The log-likelihood is strictly concave in gamma, so the section search
-    converges to the unique maximum.
+    The log-likelihood is strictly concave in gamma, so its one maximum is
+    the minimum of its negative, which each candidate finds on its own
+    (Brent 1973, ch. 5: parabolic steps through the best three points, a
+    golden-section step whenever the parabola is unsafe), started from the
+    continuous estimate 1 + n / sum(ln(x / (xmin - 1/2))) of Clauset et al.
+    (2009, eq. 3.7) clipped into the bracket, or from the golden point where
+    that is not finite. It stops on Brent's rule at relative tolerance
+    _GAMMA_RTOL, and the Hurwitz zeta is evaluated only on the candidates
+    still running. Every step is elementwise, so each gamma has the bits of
+    a call on its candidate alone.
     """
-    lo = np.full(len(xmin), _GAMMA_LO)
-    hi = np.full(len(xmin), _GAMMA_HI)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    gammas = np.empty(len(xmin))
     q = xmin.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = 1.0 + n_tail / (log_sum - n_tail * np.log(q - 0.5))
+    golden_point = _GAMMA_LO + _CGOLD * (_GAMMA_HI - _GAMMA_LO)
+    x = np.where(np.isfinite(start), np.clip(start, _GAMMA_LO, _GAMMA_HI), golden_point)
+    n, s, rows = n_tail, log_sum, np.arange(len(xmin))
 
-    def loglik(g: np.ndarray) -> np.ndarray:
-        return -n_tail * np.log(hurwitz_zeta(g, q)) - g * log_sum
+    def cost(g: np.ndarray) -> np.ndarray:
+        return n * np.log(hurwitz_zeta(g, q)) + g * s
 
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = loglik(c), loglik(d)
-    for _ in range(_GOLDEN_ITERS):
-        shrink_right = fc > fd
-        hi = np.where(shrink_right, d, hi)
-        lo = np.where(shrink_right, lo, c)
-        c = hi - inv_phi * (hi - lo)
-        d = lo + inv_phi * (hi - lo)
-        fc, fd = loglik(c), loglik(d)
-    return (lo + hi) / 2.0
+    a = np.full(len(x), _GAMMA_LO)
+    b = np.full(len(x), _GAMMA_HI)
+    fx = cost(x)
+    w, v, fw, fv = x, x, fx, fx
+    d = e = np.zeros(len(x))  # the last step, and the one before it
+    while len(rows):
+        mid = 0.5 * (a + b)
+        tol = _GAMMA_RTOL * x
+        done = np.abs(x - mid) <= 2.0 * tol - 0.5 * (b - a)
+        if done.any():
+            gammas[rows[done]] = x[done]
+            keep = ~done
+            rows, n, s, q, a, b, x, w, v, fx, fw, fv, d, e, mid, tol = (
+                array[keep] for array in (rows, n, s, q, a, b, x, w, v, fx, fw, fv, d, e, mid, tol))
+        # the parabola through x, w and v has its vertex at x + p / r; an infinite cost makes it nan, and unsafe
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (x - w) * (fx - fv)
+            r = (x - v) * (fx - fw)
+            p = (x - v) * r - (x - w) * t
+            r = 2.0 * (r - t)
+            p = np.where(r > 0.0, -p, p)
+            r = np.abs(r)
+            step = p / r
+        parabolic = ((np.abs(e) > tol) & (np.abs(p) < np.abs(0.5 * r * e))
+                     & (p > r * (a - x)) & (p < r * (b - x)))
+        # a parabolic step keeps 2*tol clear of the bracket ends
+        cramped = (x + step - a < 2.0 * tol) | (b - x - step < 2.0 * tol)
+        step = np.where(cramped, np.where(mid >= x, tol, -tol), step)
+        golden = np.where(x >= mid, a - x, b - x)
+        e = np.where(parabolic, d, golden)
+        d = np.where(parabolic, step, _CGOLD * golden)
+        # no two evaluations closer than tol
+        u = x + np.where(np.abs(d) >= tol, d, np.where(d >= 0.0, tol, -tol))
+        fu = cost(u)
+        better = fu <= fx
+        # of x and u, the better becomes x and the other a bracket end, then w or v if it beats them
+        loser, f_loser = np.where(better, x, u), np.where(better, fx, fu)
+        shift = better | (fu <= fw) | (w == x)
+        replace_v = ~shift & ((fu <= fv) | (v == x) | (v == w))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+        a = np.where(loser < x, loser, a)
+        b = np.where(loser < x, b, loser)
+        v = np.where(shift, w, np.where(replace_v, loser, v))
+        fv = np.where(shift, fw, np.where(replace_v, f_loser, fv))
+        w, fw = np.where(shift, loser, w), np.where(shift, f_loser, fw)
+    return gammas
 
 
 def _zeta_at(gammas: np.ndarray, values: np.ndarray, csum: np.ndarray, norms: np.ndarray, xmin: np.ndarray) -> np.ndarray:
@@ -195,7 +245,7 @@ def _candidates(samples: Iterable[int]) -> _Candidates:
 
 
 def _fit_group(group: list[_Candidates]) -> list[PowerLawFit]:
-    """Fit prepared samples; the golden sections of all their candidates run as one `_mle_gamma` call.
+    """Fit prepared samples; the gamma solver runs on all their candidates in one `_mle_gamma` call.
 
     `_mle_gamma` works elementwise, so every gamma has the bits it would
     have in a call of its own sample's candidates alone.

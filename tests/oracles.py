@@ -4,8 +4,9 @@ Everything here works on plain edge dictionaries with explicit loops, BFS
 via deque, and exhaustive path enumeration, so the main implementations
 (numpy / scipy backed) are checked against a genuinely different route.
 The earlier ingest, the networkx GraphML path, the one-replicate-at-a-time
-tail bootstrap, and the networkx generators and weighted betweenness are kept
-at the end as the references their replacements must agree with.
+tail bootstrap, the golden-section tail solver, and the networkx generators
+and weighted betweenness are kept at the end as the references their
+replacements must agree with.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from itertools import combinations
 
 import networkx as nx
 import numpy as np
+from scipy.special import zeta as hurwitz_zeta
 
 from wardflow.eventlog import CategoryMap, IngestStats, LogSchema, SchemaError
 from wardflow.network import TransferNetwork
@@ -485,6 +487,32 @@ def ref_bootstrap_ci(samples, n_boot: int, seed: int, level: float = 0.95) -> tu
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(np.asarray(gammas), [alpha, 1.0 - alpha])
     return min(float(lo), reference.gamma), max(float(hi), reference.gamma)
+
+
+# The tail exponent's solver before Brent's method replaced it: a 64-step
+# golden section that evaluates both interior points on every step.
+
+
+def ref_golden_mle_gamma(n_tail: np.ndarray, log_sum: np.ndarray, xmin: np.ndarray) -> np.ndarray:
+    lo = np.full(len(xmin), 1.0 + 1e-6)
+    hi = np.full(len(xmin), 64.0)
+    inv_phi = (5.0 ** 0.5 - 1.0) / 2.0
+    q = xmin.astype(float)
+
+    def loglik(g: np.ndarray) -> np.ndarray:
+        return -n_tail * np.log(hurwitz_zeta(g, q)) - g * log_sum
+
+    c = hi - inv_phi * (hi - lo)
+    d = lo + inv_phi * (hi - lo)
+    fc, fd = loglik(c), loglik(d)
+    for _ in range(64):
+        shrink_right = fc > fd
+        hi = np.where(shrink_right, d, hi)
+        lo = np.where(shrink_right, lo, c)
+        c = hi - inv_phi * (hi - lo)
+        d = lo + inv_phi * (hi - lo)
+        fc, fd = loglik(c), loglik(d)
+    return (lo + hi) / 2.0
 
 
 # The networkx calls `wardflow.synth.generate_network` and weighted

@@ -803,6 +803,28 @@ def test_analyze_sidecar_dir_below_a_file_is_usage_error(log_file, tmp_path, cap
 
 
 
+@pytest.mark.parametrize("taken", ["degree_distribution.csv", "knn_curve.csv", "attack_random.csv"])
+def test_a_sidecar_name_taken_by_a_directory_is_usage_error_before_the_input_is_read(log_file, tmp_path, capsys,
+                                                                                    monkeypatch, taken):
+    sidecars = tmp_path / "side"
+    (sidecars / taken).mkdir(parents=True)
+    monkeypatch.setattr(cli, "_network_from_log", _refuse)
+    monkeypatch.setattr(cli.report_mod, "build_report", _refuse)
+    code, out, err = run(capsys, *analyze_args(log_file, "--skip", "small_world", "--sidecar-dir", sidecars))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write output: [Errno 21] Is a directory: '{sidecars / taken}'\n"
+    assert [path.name for path in sidecars.iterdir()] == [taken]
+
+
+def test_a_sidecar_the_run_does_not_write_may_be_taken(log_file, tmp_path, capsys):
+    sidecars = tmp_path / "side"
+    (sidecars / "attack_degree.csv").mkdir(parents=True)
+    code, out, _ = run(capsys, *analyze_args(log_file, "--skip", "small_world,resilience", "--sidecar-dir", sidecars))
+    assert code == 0 and "resilience" not in json.loads(out)
+    assert sorted(path.name for path in sidecars.iterdir()) == ["attack_degree.csv", "degree_distribution.csv",
+                                                                 "knn_curve.csv"]
+
+
 @pytest.fixture()
 def network_inputs(log_file, tmp_path, capsys):
     """Placeholder -> path: the log, its GraphML and edge list, an undirected edge list, a category map,

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as hurwitz_zeta
 
+from oracles import ref_golden_mle_gamma
+from wardflow import powerlaw
 from wardflow.metrics import NodeMetrics, compute_node_metrics, knn
 from wardflow.network import TransferNetwork
 from wardflow.powerlaw import (
@@ -54,6 +58,62 @@ def test_mle_matches_numeric_maximization_scanned():
     samples = sample_tail(2.7, 3, 400, rng)
     fit = fit_tail(samples)
     assert fit.gamma == pytest.approx(grid_maximize(samples, fit.xmin), abs=1e-6)
+
+
+def solver_inputs(samples):
+    """`_mle_gamma`'s arguments for every xmin candidate of each sample: tail sizes, tail log sums, xmins."""
+    setups = [powerlaw._candidates(sample) for sample in samples]
+    return tuple(np.concatenate(parts) for parts in zip(*(
+        ((len(setup.x) - setup.cand_first).astype(float), setup.log_sum, setup.cand) for setup in setups)))
+
+
+def assert_as_likely_as_the_golden_section(inputs):
+    """The log-likelihood of each gamma is never below the golden section's by more than 1e-9 relative."""
+    def loglik(gammas, n_tail, log_sum, xmin):
+        return -n_tail * np.log(hurwitz_zeta(gammas, xmin.astype(float))) - gammas * log_sum
+
+    ours = loglik(powerlaw._mle_gamma(*inputs), *inputs)
+    golden = loglik(ref_golden_mle_gamma(*inputs), *inputs)
+    assert np.all(ours >= golden - 1e-9 * np.abs(golden))
+
+
+def fittable(largest):
+    """Samples of at least two distinct values, from narrow to heavy-tailed, none above `largest`."""
+    return st.lists(st.integers(1, 40) | st.integers(1, largest), min_size=2, max_size=60).filter(
+        lambda sample: len(set(sample)) >= 2)
+
+
+@given(samples=st.lists(fittable(10**6), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_mle_of_a_batch_has_the_bits_of_its_samples_alone(samples):
+    batched = powerlaw._mle_gamma(*solver_inputs(samples))
+    alone = np.concatenate([powerlaw._mle_gamma(*solver_inputs([sample])) for sample in samples])
+    assert np.array_equal(batched, alone)
+
+
+def test_mle_past_the_upper_bound_stops_at_it():
+    # the likelihood of this tail still rises at gamma = 64
+    (gamma,) = powerlaw._mle_gamma(*solver_inputs([[100] * 100 + [101]]))
+    assert 64.0 - 1e-6 <= gamma <= 64.0
+
+
+def test_mle_of_a_far_outlier_stays_in_the_bracket():
+    (gamma,) = powerlaw._mle_gamma(*solver_inputs([[1, 10**6]]))
+    assert math.isfinite(gamma) and gamma >= powerlaw._GAMMA_LO
+
+
+# past xmin of about 65,000 the Hurwitz zeta underflows at large gamma and the likelihood reads infinite
+@given(samples=st.lists(fittable(10**4), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_mle_is_at_least_as_likely_as_the_golden_section(samples):
+    assert_as_likely_as_the_golden_section(solver_inputs(samples))
+
+
+def test_mle_is_at_least_as_likely_as_the_golden_section_on_bootstrap_replicates():
+    x = sample_tail(2.6, 2, 2000, np.random.default_rng(101))
+    rng = np.random.default_rng(7)
+    assert_as_likely_as_the_golden_section(
+        solver_inputs([x] + [x[rng.integers(0, len(x), size=len(x))] for _ in range(20)]))
 
 
 def test_all_samples_equal_is_degenerate():

@@ -1,7 +1,7 @@
 """The blocked tail bootstrap against the one-replicate-at-a-time loops it replaced.
 
 Replicates are drawn from their own seeds and refit in blocks, with one
-golden section per group of samples, serially or across forked workers. The
+gamma solver call per group of samples, serially or across forked workers. The
 p-value, the interval and every failure must come out exactly as the loops
 in `oracles` give them.
 """
