@@ -4,6 +4,9 @@ Directed quantities (degrees, strengths, reciprocity, flow hierarchy,
 betweenness, assortativity, path length) are defined on the directed
 network; clustering and nearest-neighbour degree follow the undirected
 projection, whose conventions the small-world machinery expects.
+An undirected edge counts in both directions, for degree, strength, edge
+count and total weight: an undirected network gives what its symmetric
+directed form gives.
 
 Every measure reads the network's indexed core, `net.core`, and sums in
 its order (sorted labels, then CSR), never in the order the edges were
@@ -73,14 +76,8 @@ class NetworkMetrics:
     }
 
 
-def _require_directed(net: TransferNetwork, op: str) -> None:
-    if not net.directed:
-        raise ValueError(f"{op} is defined on directed networks; symmetrize first")
-
-
 def degrees(net: TransferNetwork) -> dict[str, tuple[int, int, int, int]]:
     """Per node (k, in_degree, out_degree, net_connectivity=in-out)."""
-    _require_directed(net, "degrees")
     core = net.core
     in_deg = np.diff(core.inc.indptr).tolist()
     out_deg = np.diff(core.out.indptr).tolist()
@@ -89,7 +86,6 @@ def degrees(net: TransferNetwork) -> dict[str, tuple[int, int, int, int]]:
 
 def strengths(net: TransferNetwork) -> dict[str, tuple[int, int, int]]:
     """Per node (s, in_strength, out_strength); s sums all incident weights."""
-    _require_directed(net, "strengths")
     core = net.core
     in_s = np.asarray(core.weighted.sum(axis=0)).ravel().tolist()
     out_s = np.asarray(core.weighted.sum(axis=1)).ravel().tolist()
@@ -98,7 +94,6 @@ def strengths(net: TransferNetwork) -> dict[str, tuple[int, int, int]]:
 
 def reciprocity(net: TransferNetwork) -> float | None:
     """Fraction of directed edges whose reverse edge also exists."""
-    _require_directed(net, "reciprocity")
     core = net.core
     if not core.out.nnz:
         return None
@@ -112,7 +107,6 @@ def flow_hierarchy(net: TransferNetwork) -> float | None:
     connected component (self-loops are excluded by construction, so a
     shared component always has size >= 2).
     """
-    _require_directed(net, "flow_hierarchy")
     core = net.core
     if not core.out.nnz:
         return None
@@ -168,7 +162,6 @@ def _pearson(xs: np.ndarray, ys: np.ndarray) -> float | None:
 
 def assortativity(net: TransferNetwork) -> float | None:
     """Pearson correlation of (source out-degree, target in-degree) over edges, in CSR order."""
-    _require_directed(net, "assortativity")
     core = net.core
     if core.out.nnz < 2:
         return None
@@ -227,8 +220,6 @@ def avg_shortest_path(net: TransferNetwork, scope: str = DIRECTED_SCOPE) -> tupl
     if not net.nodes:
         return None, None
     directed = scope == DIRECTED_SCOPE
-    if directed:
-        _require_directed(net, "avg_shortest_path(directed)")
     core = net.core if directed else net.core.projection
     connection = "strong" if directed else "weak"
     _, labels = connected_components(core.out, directed=directed, connection=connection)
@@ -244,8 +235,7 @@ def avg_shortest_path(net: TransferNetwork, scope: str = DIRECTED_SCOPE) -> tupl
 
 
 def compute_node_metrics(net: TransferNetwork, betweenness_weighted: bool = False) -> dict[str, NodeMetrics]:
-    """Per-node metrics of a directed network."""
-    _require_directed(net, "compute_node_metrics")
+    """Per-node metrics."""
     degree_map = degrees(net)
     strength_map = strengths(net)
     local_clustering, _, _ = clustering(net)
@@ -272,14 +262,14 @@ def compute_node_metrics(net: TransferNetwork, betweenness_weighted: bool = Fals
 
 
 def compute_network_metrics(net: TransferNetwork) -> NetworkMetrics:
-    """Whole-network measures of a directed network; `NetworkMetrics.null_reasons` says why a field is null."""
-    _require_directed(net, "compute_network_metrics")
-    edge_count = net.edge_count
-    total = net.total_weight
+    """Whole-network measures; `NetworkMetrics.null_reasons` says why a field is null."""
+    core = net.core
+    edge_count = core.out.nnz
+    total = int(core.weighted.sum())
     _, c_av, transitivity = clustering(net)
     l_directed, coverage_directed = avg_shortest_path(net, DIRECTED_SCOPE)
     l_projection, coverage_projection = avg_shortest_path(net, PROJECTION_SCOPE)
-    by_degree = np.bincount(net.core.degrees()).tolist()
+    by_degree = np.bincount(core.degrees()).tolist()
     return NetworkMetrics(
         node_count=net.node_count,
         edge_count=edge_count,

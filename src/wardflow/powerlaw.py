@@ -117,7 +117,9 @@ def _mle_gamma(n_tail: np.ndarray, log_sum: np.ndarray, xmin: np.ndarray) -> np.
     n, s, rows = n_tail, log_sum, np.arange(len(xmin))
 
     def cost(g: np.ndarray) -> np.ndarray:
-        return n * np.log(hurwitz_zeta(g, q)) + g * s
+        # past an xmin of about 65,000 the zeta underflows to 0 at large g; `_fit_group` drops such candidates
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return n * np.log(hurwitz_zeta(g, q)) + g * s
 
     a = np.full(len(x), _GAMMA_LO)
     b = np.full(len(x), _GAMMA_HI)
@@ -208,7 +210,8 @@ def _ks_distances(x: np.ndarray, uniq: np.ndarray, counts_le: np.ndarray,
         csum = np.cumsum(np.exp(-g[:, None] * log_ints[None, :]), axis=1)
         norms = hurwitz_zeta(g, xm.astype(float))
         z = _zeta_at(g, uniq, csum, norms, xm)
-        model_cdf = 1.0 - z / norms[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            model_cdf = 1.0 - z / norms[:, None]  # nan where the zeta underflowed to 0
         emp_cdf = (counts_le[None, :] - first_idx[start:stop, None]) / n_tail[start:stop, None]
         diff = np.abs(emp_cdf - model_cdf)
         diff[uniq[None, :] < xm[:, None]] = -np.inf
@@ -244,11 +247,13 @@ def _candidates(samples: Iterable[int]) -> _Candidates:
     return _Candidates(x, uniq, counts_le, uniq[:-1], cand_first, suffix_log_sum[cand_first])
 
 
-def _fit_group(group: list[_Candidates]) -> list[PowerLawFit]:
+def _fit_group(group: list[_Candidates]) -> list[PowerLawFit | ValueError]:
     """Fit prepared samples; the gamma solver runs on all their candidates in one `_mle_gamma` call.
 
     `_mle_gamma` works elementwise, so every gamma has the bits it would
-    have in a call of its own sample's candidates alone.
+    have in a call of its own sample's candidates alone. A candidate whose
+    KS distance is not finite is passed over, and a sample with no other
+    candidate gives a ValueError.
     """
     n_tails = [(len(setup.x) - setup.cand_first).astype(float) for setup in group]
     gammas = _mle_gamma(np.concatenate(n_tails), np.concatenate([setup.log_sum for setup in group]),
@@ -259,7 +264,11 @@ def _fit_group(group: list[_Candidates]) -> list[PowerLawFit]:
         sample_gammas = gammas[start:start + len(setup.cand)]
         start += len(setup.cand)
         ks = _ks_distances(setup.x, setup.uniq, setup.counts_le, setup.cand, setup.cand_first, sample_gammas)
-        best = int(np.argmin(ks))  # argmin keeps the first (smallest) xmin on ties
+        finite = np.isfinite(ks)
+        if not finite.any():
+            fits.append(ValueError("no xmin candidate has a finite KS distance"))
+            continue
+        best = int(np.argmin(np.where(finite, ks, np.inf)))  # argmin keeps the first (smallest) xmin on ties
         # gamma, xmin, n_tail and the KS distance of the best candidate
         fits.append(PowerLawFit(float(sample_gammas[best]), int(setup.cand[best]), int(n_tail[best]),
                                 float(ks[best])))
@@ -302,7 +311,7 @@ def fit_tail(samples: Iterable[int]) -> PowerLawFit:
 
     The chosen xmin minimizes the KS distance, with ties broken toward the
     smaller xmin. Raises ValueError when the sample holds fewer than two
-    distinct values.
+    distinct values, or when no candidate has a finite KS distance.
     """
     (fit,) = _fit_tails([samples])
     if isinstance(fit, ValueError):

@@ -16,7 +16,7 @@ from . import powerlaw as powerlaw_mod
 from . import resilience as resilience_mod
 from . import smallworld as smallworld_mod
 from .eventlog import IngestStats
-from .network import TransferNetwork, as_symmetric_directed, undirected_projection
+from .network import TransferNetwork, undirected_projection
 from .pool import derive_seed
 
 
@@ -167,14 +167,13 @@ class _Sections:
 
     def __init__(self, net: TransferNetwork, options: AnalysisOptions, ingest: IngestStats | None):
         self.net = net
-        self.directed = as_symmetric_directed(net)
         self.options = options
         self.seeds = options.derived_seeds
         self.ingest_stats = ingest
 
     @functools.cached_property
     def nodes(self) -> dict[str, metrics_mod.NodeMetrics]:
-        return metrics_mod.compute_node_metrics(self.directed, betweenness_weighted=self.options.weighted_betweenness)
+        return metrics_mod.compute_node_metrics(self.net, betweenness_weighted=self.options.weighted_betweenness)
 
     def ingest(self) -> IngestStats:
         if self.ingest_stats is None:
@@ -182,15 +181,15 @@ class _Sections:
         return dataclasses.replace(self.ingest_stats, rejections=dict(sorted(self.ingest_stats.rejections.items())))
 
     def network_summary(self) -> NetworkSummary:
-        directed = self.directed
-        return NetworkSummary(directed.node_count, directed.edge_count, directed.total_weight, self.net.directed,
+        core = self.net.core
+        return NetworkSummary(core.n, core.out.nnz, int(core.weighted.sum()), self.net.directed,
                               len(self.net.categories or {}))
 
     def node_metrics(self) -> tuple[metrics_mod.NodeMetrics, ...]:
         return tuple(m for _, m in sorted(self.nodes.items()))
 
     def network_metrics(self) -> metrics_mod.NetworkMetrics:
-        return metrics_mod.compute_network_metrics(self.directed)
+        return metrics_mod.compute_network_metrics(self.net)
 
     def fits(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
@@ -211,12 +210,12 @@ class _Sections:
     def knn_degree(self) -> powerlaw_mod.RegressionFit:
         # the k_nn curve is read from the node metrics' k_nn values, so `knn` runs once per report
         knn = {label: m.knn_weighted for label, m in self.nodes.items()}
-        return powerlaw_mod.fit_knn_degree(metrics_mod.knn_curve(self.directed, knn))
+        return powerlaw_mod.fit_knn_degree(metrics_mod.knn_curve(self.net, knn))
 
     def small_world(self) -> smallworld_mod.SmallWorldReport:
         options = self.options
         return smallworld_mod.small_world_report(
-            undirected_projection(self.directed), n_samples=options.sw_samples, seed=self.seeds.small_world,
+            undirected_projection(self.net), n_samples=options.sw_samples, seed=self.seeds.small_world,
             n_swaps=options.sw_swaps, lattice_swaps=options.sw_lattice_swaps)
 
     def classification(self) -> Classification:
@@ -225,7 +224,7 @@ class _Sections:
 
     def resilience(self) -> dict[str, resilience_mod.AttackResult]:
         return {
-            strategy: resilience_mod.attack(self.directed, strategy, step_fraction=self.options.attack_step,
+            strategy: resilience_mod.attack(self.net, strategy, step_fraction=self.options.attack_step,
                                             seed=self.seeds.attack_random)
             for strategy in self.options.attack_strategies
         }

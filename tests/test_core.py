@@ -4,6 +4,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from wardflow import metrics, pool, report, smallworld
 from wardflow.eventlog import parse_event_log, reconstruct_journeys
 from wardflow.network import (
@@ -89,8 +91,9 @@ def _count_core_builds(monkeypatch) -> list:
     return built
 
 
-def test_one_core_per_analysed_network(monkeypatch):
-    net = log_built_network()
+@pytest.mark.parametrize("make", [log_built_network, undirected_edge_list_network])
+def test_one_core_per_analysed_network(monkeypatch, make):
+    net = make()
     built = _count_core_builds(monkeypatch)
     report.build_report(net, report.AnalysisOptions(boot=10, skip=("small_world",)))
     assert len(built) == 1 and built[0] is net

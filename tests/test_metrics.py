@@ -1,7 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_assortativity,
@@ -15,10 +18,12 @@ from oracles import (
     brute_strengths,
     random_directed_network,
 )
+from wardflow import metrics
 from wardflow.metrics import (
     DIRECTED_SCOPE,
     PROJECTION_SCOPE,
     assortativity,
+    assortativity_undirected,
     avg_shortest_path,
     betweenness,
     clustering,
@@ -27,10 +32,11 @@ from wardflow.metrics import (
     degrees,
     flow_hierarchy,
     knn,
+    knn_curve,
     reciprocity,
     strengths,
 )
-from wardflow.network import TransferNetwork
+from wardflow.network import TransferNetwork, as_symmetric_directed
 from wardflow.report import _plain
 
 TOL = 1e-9
@@ -324,3 +330,56 @@ def test_compute_network_metrics_reasons_and_distribution():
     summary = compute_network_metrics(net)
     assert summary.mean_edge_weight == pytest.approx(4 / 3)
     assert math.isclose(sum(summary.degree_distribution.values()), 1.0)
+
+
+@st.composite
+def undirected_networks(draw):
+    """Undirected networks of up to 8 linked nodes and one or two isolated ones."""
+    linked = [f"n{i}" for i in range(draw(st.integers(0, 8)))]
+    pairs = [(u, v) for i, u in enumerate(linked) for v in linked[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(st.lists(st.integers(1, 10**6), min_size=len(chosen), max_size=len(chosen)))
+    isolated = [f"z{i}" for i in range(draw(st.integers(1, 2)))]
+    return TransferNetwork(frozenset(linked + isolated), dict(zip(chosen, weights)), directed=False)
+
+
+# every public function of `metrics`, each as the calls that read a network
+DIRECTION_CALLS = {
+    "degrees": [degrees],
+    "strengths": [strengths],
+    "reciprocity": [reciprocity],
+    "flow_hierarchy": [flow_hierarchy],
+    "clustering": [clustering],
+    "betweenness": [betweenness, lambda net: betweenness(net, use_weights=True)],
+    "assortativity": [assortativity],
+    "assortativity_undirected": [assortativity_undirected],
+    "knn": [knn],
+    "knn_curve": [lambda net: knn_curve(net, knn(net)[0])],
+    "avg_shortest_path": [lambda net: avg_shortest_path(net, DIRECTED_SCOPE),
+                          lambda net: avg_shortest_path(net, PROJECTION_SCOPE)],
+    "compute_node_metrics": [compute_node_metrics, lambda net: compute_node_metrics(net, betweenness_weighted=True)],
+    "compute_network_metrics": [compute_network_metrics],
+}
+
+
+def test_the_direction_rule_covers_every_public_function():
+    public = {name for name, value in vars(metrics).items()
+              if inspect.isfunction(value) and value.__module__ == metrics.__name__ and not name.startswith("_")}
+    assert set(DIRECTION_CALLS) == public
+
+
+@given(net=undirected_networks())
+@settings(max_examples=60, deadline=None)
+def test_an_undirected_network_reads_as_its_symmetric_directed_form(net):
+    symmetric = as_symmetric_directed(net)
+    for name, calls in DIRECTION_CALLS.items():
+        for call in calls:
+            assert call(net) == call(symmetric), name
+
+
+def test_an_undirected_edge_counts_in_both_directions():
+    net = net_of({("A", "B"): 3}, directed=False, extra_nodes=("C",))
+    assert degrees(net)["A"] == (2, 1, 1, 0)
+    assert strengths(net)["B"] == (6, 3, 3)
+    summary = compute_network_metrics(net)
+    assert (summary.edge_count, summary.total_weight, summary.reciprocity) == (2, 6, 1.0)

@@ -102,6 +102,24 @@ def test_mle_of_a_far_outlier_stays_in_the_bracket():
     assert math.isfinite(gamma) and gamma >= powerlaw._GAMMA_LO
 
 
+def test_scan_passes_over_a_candidate_without_a_finite_ks_distance():
+    # at an xmin of 10**6 the Hurwitz zeta underflows to 0 and the KS distance reads nan
+    with np.errstate(divide="raise", invalid="raise"):
+        fit = fit_tail([1, 1, 2, 3, 10**6, 10**6 + 1, 10**6 + 2])
+    assert fit.xmin <= 3 and math.isfinite(fit.ks_stat) and math.isfinite(fit.gamma)
+
+
+def test_a_sample_without_a_finite_candidate_is_a_value_error():
+    with np.errstate(divide="raise", invalid="raise"), pytest.raises(ValueError, match="finite KS distance"):
+        fit_tail([10**6, 10**6 + 1])
+
+
+def test_batched_fits_return_the_error_in_place():
+    good = [1, 1, 2, 3, 5, 8, 13]
+    bad, fit = powerlaw._fit_tails([[10**6, 10**6 + 1], good])
+    assert isinstance(bad, ValueError) and fit == fit_tail(good)
+
+
 # past xmin of about 65,000 the Hurwitz zeta underflows at large gamma and the likelihood reads infinite
 @given(samples=st.lists(fittable(10**4), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)

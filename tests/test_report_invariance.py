@@ -80,3 +80,25 @@ def test_log_and_the_graphml_built_from_it_give_one_report(mapped, tmp_path, cap
             report.pop(key, None)
         reports.append(json.dumps(report, indent=2))
     assert reports[0] == reports[1]
+
+
+def _both_ways(row: str) -> list[str]:
+    """The directed rows of an undirected edge-list row; an isolated node's row stays as it is."""
+    u, v, weight = row.split(",")
+    return [row] if v == "" else [row, f"{v},{u},{weight}"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(rows=edge_list_rows(directed=False))
+def test_an_undirected_edge_list_reports_as_its_symmetric_directed_form(rows, tmp_path_factory):
+    symmetric = [directed_row for row in rows for directed_row in _both_ways(row)]
+    reports = []
+    for order, flags in ((rows, ["--undirected"]), (symmetric, [])):
+        path = tmp_path_factory.mktemp("edges") / "net.csv"
+        path.write_text("from,to,weight\n" + "\n".join(order) + "\n")
+        code, out = _analyze(path, *flags)
+        assert code == 0
+        report = json.loads(out)
+        del report["input"], report["network_summary"]["directed"]
+        reports.append(report)
+    assert reports[0] == reports[1]
