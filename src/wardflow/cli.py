@@ -141,10 +141,9 @@ def _network_from_log(path: str, args) -> tuple:
 
     The category map is read first, so a bad map is reported before the log
     is parsed. The log is parsed a block at a time, and a plain block (no
-    quote, no carriage return, every line as wide as the header) is split
-    and converted a column at a time without csv.reader; on the 1.24M-row
-    ingest-5x log that halves the parse (median 1.18 s to 0.63 s). The
-    journeys are streamed: one is built, mapped and counted into the network
+    quote, no carriage return but in a CRLF, every line as wide as the
+    header) is split and converted a column at a time without csv.reader
+    (`eventlog.parse_event_log`). The journeys are streamed: one is built, mapped and counted into the network
     before the next is made. The ingest makes no reference cycles, but it
     allocates tracked containers all along: two lists per admission and a
     few per block while parsing, then a journey and its tuples per

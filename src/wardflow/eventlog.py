@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from typing import IO, Iterable, Iterator, Mapping
 
 KEEP_AS_IS = "keep-as-is"
@@ -152,33 +152,38 @@ def csv_rows(source: IO | str, kind: str, delimiter: str = ",") -> Iterator[Iter
 
 
 # Characters asked of the stream per block of the event log. Parsing the 1.24M-row
-# ingest-5x log in process, 64 KiB blocks were the fastest of 16 KiB to 256 KiB,
-# and 1 MiB blocks took 0.80-0.87 s instead of 0.67-0.80 s and raised the peak
-# memory from 116 to 124 MB.
+# ingest-5x log in process, 64 KiB blocks were the fastest of 16 KiB to 256 KiB;
+# 1 MiB blocks took a median 0.87 s instead of 0.67 s and raised the peak RSS
+# from 115 to 134 MB (6 fresh processes each).
 _BLOCK_CHARS = 1 << 16
 # the ASCII whitespace that str.strip removes, less the newline and the carriage
 # return, which no field of a plain block holds: an ASCII block without any of
-# these has no field that strip would change
+# these has no field that strip would change. Not stripping such a block took the
+# in-process parse of ingest-5x from a median 0.72 s to 0.63 s (10 runs each).
 _ASCII_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def _blocks(stream: IO[str], opened_here: bool) -> Iterator[tuple[str, list[str] | None]]:
+def _blocks(stream: IO[str], opened_here: bool) -> Iterator[tuple[str | None, Iterable[str]]]:
     """(text, lines) of the rest of the stream, about _BLOCK_CHARS characters at a time, each ending where a line ends.
 
-    A stream opened here (newline="") is read in fixed blocks, each completed
-    to the end of its last line, and `lines` is None: its lines end at \\n,
-    \\r\\n or a bare \\r, as io.StringIO(text, newline="") splits them. A
-    caller's text stream may end its lines elsewhere, so its blocks are
-    whole lines, and `lines` are the lines as the stream split them.
+    `lines` are the block's lines as the stream splits them, for csv.reader.
+    `text` is the block's text, or None when a caller's stream has split it
+    into other lines than the newline-ended ones `_Ingest.plain_block`
+    takes. A stream opened here (newline="") is read in fixed blocks, each
+    completed to the end of its last line, since a plain block needs no
+    lines: read that way the ingest-5x log took 0.015 s, and 0.11 s with
+    readlines. A caller's text stream is read in whole lines, since its
+    newline mode decides where they end.
     """
     if opened_here:
         for text in iter(partial(stream.read, _BLOCK_CHARS), ""):
             if text[-1] != "\n":
                 text += stream.readline()
-            yield text, None
+            yield text, io.StringIO(text, newline="")
     else:
         for lines in iter(partial(stream.readlines, _BLOCK_CHARS), []):
-            yield "".join(lines), lines
+            text = "".join(lines)
+            yield (text if len(lines) == text.count("\n") else None), lines
 
 
 class _Ingest:
@@ -244,24 +249,26 @@ class _Ingest:
         self.aware = aware
         stats.rows_read += rows_read
 
-    def plain_block(self, text: str, lines: list[str] | None) -> int:
-        """Take a quote-free block by splitting it, without the csv module; its number of lines, 0 if it is not plain.
+    def plain_block(self, text: str | None) -> int:
+        """Take a block by splitting it, without the csv module; its number of lines, 0 if it is not plain.
 
-        The block is plain when it holds no carriage return, its lines are
-        its newline-ended lines and each has exactly the header's number of
-        fields, none longer than csv.field_size_limit(): csv.reader would
-        split it the same way. Its columns are then converted whole (the
-        fields are stripped only if the block holds whitespace besides its
-        newlines), and each run of equal admission ids joins its group as
-        one slice. A block that holds a row to reject goes through `rows`,
-        so the tallies and the first accepted row's timezone rule stay
-        exact.
+        The block is plain when it holds no quote, each line ends at its
+        one newline or CRLF, with no other carriage return, and has exactly
+        the header's number of fields, none longer than
+        csv.field_size_limit(): csv.reader would split it the same way. Its
+        columns are then converted whole (the fields are stripped only if
+        the block holds whitespace besides its line ends), and each run of
+        equal admission ids joins its group as one slice. A block that
+        holds a row to reject goes through `rows`, so the tallies and the
+        first accepted row's timezone rule stay exact.
         """
-        if not self.splittable or "\r" in text or text[-1] != "\n":
+        if not self.splittable or not text or '"' in text or text[-1] != "\n":
             return 0
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")  # csv.reader ends a line at CRLF as at a newline
+            if "\r" in text:
+                return 0
         n = text.count("\n")
-        if lines is not None and len(lines) != n:
-            return 0  # a caller's stream that ends its lines elsewhere than at newlines
         d, k = self.delimiter, self.fields
         # each newline becomes an item of its own, so the lines hold k fields each
         # exactly when every (k + 1)-th item is a newline
@@ -320,42 +327,36 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
     string object.
 
     The log is read a block of about _BLOCK_CHARS characters at a time,
-    each block ending where a line ends. A plain block (no quote, no
-    carriage return, every line as wide as the header, no field over the
-    csv module's limit) is split with str.split and its columns converted
-    whole (`_Ingest.plain_block`). Any other block goes through csv.reader.
-    From the first block that holds a quote, the reader takes the rest of
-    the log, since a quoted field may run on past the block. A csv.Error
-    becomes a ValueError that names the line, counted over the whole log,
-    as `csv_rows` names it. On the 1.24M-row ingest-5x log every block is
-    plain: in a fresh process with the collector paused, the parse took
-    0.59-0.77 s (median 0.63 s), against 1.13-1.55 s (median 1.18 s) row
-    by row through csv.reader, over 6 alternating runs each on 2 shared
-    vCPUs.
+    each block ending where a line ends. A plain block (no quote, lines
+    that end at a newline or CRLF with no other carriage return, every
+    line as wide as the header, no field over the csv module's limit) is
+    split with str.split and its columns converted whole
+    (`_Ingest.plain_block`). Any other block goes through csv.reader, as
+    many rows as it has lines, so the reader ends at the end of a row even
+    when a quoted field runs on past the block, and the block after those
+    rows is again tried as plain. A csv.Error becomes a ValueError that
+    names the line, counted over the whole log, as `csv_rows` names it.
+    Every block of the ingest-5x log (1.24M rows) is plain: in a fresh
+    process with the collector paused, its parse took a median 0.60 s,
+    against 1.11 s row by row through csv.reader (8 runs each).
     """
     with _text_stream(source) as stream:
-        first = stream.readline()
-        quoted = '"' in first  # a quoted header may run on over lines: the reader takes the whole log
-        reader = csv.reader(chain([first], stream) if quoted else [first], delimiter=schema.delimiter)
+        reader = csv.reader(stream, delimiter=schema.delimiter)
         line_base = 0  # lines of the log before the reader's first
         try:
             ingest = _Ingest(next(reader, None) or [], schema)
-            if quoted:
-                ingest.rows(reader)
-            else:
-                line_base = 1
-                for text, lines in _blocks(stream, not isinstance(source, io.TextIOBase)):
-                    quoted = '"' in text
-                    if not quoted and (taken := ingest.plain_block(text, lines)):
-                        line_base += taken
-                        continue
-                    if lines is None:  # a stream opened here: its lines as newline="" splits them
-                        lines = io.StringIO(text, newline="")
-                    reader = csv.reader(chain(lines, stream) if quoted else lines, delimiter=schema.delimiter)
-                    ingest.rows(reader)
-                    if quoted:
-                        break
-                    line_base += reader.line_num
+            line_base = reader.line_num
+            for text, lines in _blocks(stream, not isinstance(source, io.TextIOBase)):
+                if taken := ingest.plain_block(text):
+                    line_base += taken
+                    continue
+                # as many rows as the block has lines: each row takes a line or more, so the
+                # reader takes the whole block, and rows past it when a quoted field holds a
+                # line end, to the end of a row
+                lines = list(lines)
+                reader = csv.reader(chain(lines, stream), delimiter=schema.delimiter)
+                ingest.rows(islice(reader, len(lines)))
+                line_base += reader.line_num
         except csv.Error as exc:
             raise _csv_error("event log", line_base + reader.line_num, exc) from exc
     return ingest.groups, ingest.stats

@@ -30,7 +30,7 @@ from wardflow.eventlog import (
 HEADER = "admission_id,location,timestamp\n"
 BOM = b"\xef\xbb\xbf"
 # a path and a binary handle are read in fixed blocks; a caller's text stream in whole lines, as it splits them
-SOURCES = ("path", "binary", "text", "text-split-at-newlines-only")
+SOURCES = ("path", "binary", "text", "text-split-at-newlines-only", "text-universal-newlines")
 
 
 def _source(text: str, kind: str, directory):
@@ -42,6 +42,8 @@ def _source(text: str, kind: str, directory):
         return io.BytesIO(BOM + text.encode("utf-8"))
     if kind == "text":
         return io.StringIO(text, newline="")
+    if kind == "text-universal-newlines":
+        return io.StringIO(text, newline=None)
     return io.StringIO(text)
 
 
@@ -72,8 +74,8 @@ def routes(monkeypatch):
     taken = []
     plain_block, rows = eventlog._Ingest.plain_block, eventlog._Ingest.rows
 
-    def spy_plain_block(self, text, lines):
-        lines_taken = plain_block(self, text, lines)
+    def spy_plain_block(self, lines):
+        lines_taken = plain_block(self, lines)
         if lines_taken:
             taken[-1].append("plain")
         return lines_taken
@@ -145,6 +147,25 @@ def test_a_log_of_plain_lines_never_reaches_csv_reader(routes):
     groups, stats = routes(io.StringIO(HEADER + _rows(6000)))
     assert (stats.rows_read, len(groups)) == (6000, 858)
     assert set(routes.taken[0]) == {"plain"} and len(routes.taken[0]) > 2
+
+
+@pytest.mark.parametrize("kind", SOURCES)
+def test_a_log_with_crlf_line_ends_never_reaches_csv_reader(routes, kind, tmp_path):
+    text = (HEADER + _rows(6000)).replace("\n", "\r\n")
+    _, stats = _read_as_the_reference(routes, text, kind, tmp_path)
+    assert stats.rows_read == 6000
+    assert set(routes.taken[0]) == {"plain"} and len(routes.taken[0]) > 2
+
+
+@pytest.mark.parametrize("kind", SOURCES)
+def test_blocks_after_a_quoted_field_that_runs_over_a_cut_are_plain_again(routes, kind, monkeypatch, tmp_path):
+    monkeypatch.setattr(eventlog, "_BLOCK_CHARS", 1000)
+    # the csv.reader reads as many rows as its block has lines, so past the quoted row by 5 more
+    text = HEADER + _rows(100) + 'z1,"ward\n' + "\n" * 1500 + '1",2016-03-01T08:00\n' + _rows(2000)
+    groups, stats = _read_as_the_reference(routes, text, kind, tmp_path)
+    assert stats.rows_read == 2101 and groups["z1"][0] == ["ward\n" + "\n" * 1500 + "1"]
+    assert routes.taken[0][:2] == ["plain", "plain"] and routes.taken[0][-2:] == ["plain", "plain"]
+    assert "csv" in routes.taken[0]
 
 
 LONG_FIELD = "x" * (csv.field_size_limit() + 1)
