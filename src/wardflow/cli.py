@@ -140,19 +140,15 @@ def _network_from_log(path: str, args) -> tuple:
     """The network of an event log and its ingest tally, with the cyclic garbage collector paused.
 
     The category map is read first, so a bad map is reported before the log
-    is parsed. The log is parsed a block at a time, and a plain block (no
-    quote, no carriage return but in a CRLF, every line as wide as the
-    header) is split and converted a column at a time without csv.reader
-    (`eventlog.parse_event_log`). The journeys are streamed: one is built, mapped and counted into the network
-    before the next is made. The ingest makes no reference cycles, but it
-    allocates tracked containers all along: two lists per admission and a
-    few per block while parsing, then a journey and its tuples per
-    admission. Left running, the collector would rescan them again and
-    again. The pause ends with one full collection, which finds no garbage
-    but clears CPython's free lists: the freed journey tuples parked there
-    pin otherwise empty pymalloc arenas, and once cleared the arenas go back
-    to the operating system before `analyze` loads numpy and scipy. The
-    caller's collector state comes back on return and on error alike.
+    is parsed. It relabels the parsed events in place, and the journeys
+    stream into the network one at a time. The ingest makes no reference
+    cycles, but it allocates tracked containers all along (two lists per
+    admission, then a journey and its tuples), which a running collector
+    would rescan again and again. The pause ends with one full collection,
+    which finds no garbage but clears CPython's free lists, so the pymalloc
+    arenas that freed journey tuples pinned go back to the operating system
+    before `analyze` loads numpy and scipy. The caller's collector state
+    comes back on return and on error alike.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -162,10 +158,9 @@ def _network_from_log(path: str, args) -> tuple:
             category_map = read_category_map(args.categories, default_policy=args.category_policy,
                                              delimiter=args.delimiter)
         groups, stats = parse_event_log(path, _schema_from_args(args))
-        journeys = reconstruct_journeys(groups)
         if category_map is not None:
-            journeys = apply_category_map(journeys, category_map)
-        return build_network(journeys), stats
+            apply_category_map(groups, category_map)
+        return build_network(reconstruct_journeys(groups)), stats
     finally:
         gc.collect()
         if enabled:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
@@ -311,6 +311,26 @@ class _Ingest:
         return n
 
 
+def _undecodable_byte(source: IO[bytes] | str, start: int, exc: UnicodeDecodeError) -> ValueError:
+    """The ValueError for the log's first byte from `start` that is not UTF-8, naming its line and file offset.
+
+    The decoder names a position in its own chunk, so the log is read again
+    as bytes, a line at a time: UTF-8 puts no line end inside a character.
+    """
+    with open(source, "rb") if isinstance(source, str) else nullcontext(source) as handle:
+        handle.seek(start)
+        offset = start
+        lines = chain.from_iterable(raw.splitlines(keepends=True) for raw in handle)  # ended as csv.reader ends them
+        for number, line in enumerate(lines, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as error:
+                return ValueError(f"event log line {number}: byte 0x{line[error.start]:02x} at offset "
+                                  f"{offset + error.start} of the file is not UTF-8 ({error.reason})")
+            offset += len(line)
+    return ValueError(f"event log: {exc}")  # the log changed since it was read
+
+
 def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[AdmissionEvents, IngestStats]:
     """Read a delimited event log with a header row, grouping its events by admission.
 
@@ -327,19 +347,19 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
     string object.
 
     The log is read a block of about _BLOCK_CHARS characters at a time,
-    each block ending where a line ends. A plain block (no quote, lines
-    that end at a newline or CRLF with no other carriage return, every
-    line as wide as the header, no field over the csv module's limit) is
-    split with str.split and its columns converted whole
-    (`_Ingest.plain_block`). Any other block goes through csv.reader, as
-    many rows as it has lines, so the reader ends at the end of a row even
-    when a quoted field runs on past the block, and the block after those
-    rows is again tried as plain. A csv.Error becomes a ValueError that
-    names the line, counted over the whole log, as `csv_rows` names it.
-    Every block of the ingest-5x log (1.24M rows) is plain: in a fresh
-    process with the collector paused, its parse took a median 0.60 s,
-    against 1.11 s row by row through csv.reader (8 runs each).
+    each block ending where a line ends. A plain block is split without
+    the csv module (`_Ingest.plain_block`). Any other block goes through
+    csv.reader, as many rows as it has lines, so the reader ends at the end
+    of a row even when a quoted field runs on past the block, and the block
+    after those rows is again tried as plain. A csv.Error becomes a
+    ValueError that names the line, counted over the whole log, as
+    `csv_rows` names it; a byte that is not UTF-8 in a path or a seekable
+    binary handle, one that names its line and its offset in the file.
     """
+    # where a path or a seekable binary handle starts, to find an undecodable byte again
+    start = 0 if isinstance(source, str) else None
+    if start is None and not isinstance(source, io.TextIOBase) and source.seekable():
+        start = source.tell()
     with _text_stream(source) as stream:
         reader = csv.reader(stream, delimiter=schema.delimiter)
         line_base = 0  # lines of the log before the reader's first
@@ -359,12 +379,11 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
                 line_base += reader.line_num
         except csv.Error as exc:
             raise _csv_error("event log", line_base + reader.line_num, exc) from exc
+        except UnicodeDecodeError as exc:
+            if start is None:
+                raise
+            raise _undecodable_byte(source, start, exc) from exc
     return ingest.groups, ingest.stats
-
-
-def _first_of_runs(labels: list[str]) -> list[bool]:
-    """True where a label differs from the one before it; the first always counts."""
-    return [True, *map(operator.ne, labels[1:], labels)]
 
 
 def reconstruct_journeys(groups: AdmissionEvents) -> Iterator[AdmissionJourney]:
@@ -372,10 +391,11 @@ def reconstruct_journeys(groups: AdmissionEvents) -> Iterator[AdmissionJourney]:
 
     Events within an admission are sorted by timestamp, equal timestamps in
     input-row order; consecutive identical locations are merged keeping the
-    earliest timestamp. Journeys come out in admission-id order for
-    determinism. Each admission is removed from `groups` as the iterator
-    reaches it, so its lists are freed as its journey is handed on, and
-    `groups` is empty once the iterator is exhausted.
+    earliest timestamp; after `apply_category_map`, that merges stays of one
+    category. Journeys come out in admission-id order for determinism. Each
+    admission is removed from `groups` as the iterator reaches it, so its
+    lists are freed as its journey is handed on, and `groups` is empty once
+    the iterator is exhausted.
     """
     for admission_id in sorted(groups):
         locations, timestamps = groups.pop(admission_id)
@@ -384,40 +404,24 @@ def reconstruct_journeys(groups: AdmissionEvents) -> Iterator[AdmissionJourney]:
             order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
             locations, timestamps = [locations[i] for i in order], [timestamps[i] for i in order]
         if not all(map(operator.ne, locations[1:], locations)):
-            keep = _first_of_runs(locations)
+            keep = [True, *map(operator.ne, locations[1:], locations)]  # the first stay of each run
             locations, timestamps = compress(locations, keep), compress(timestamps, keep)
         yield AdmissionJourney._unchecked(admission_id, tuple(locations), tuple(timestamps))
 
 
-class _ResolvedOnFirstUse(dict):
-    """location -> label; a location is resolved through `resolve` the first time it is looked up."""
+def apply_category_map(groups: AdmissionEvents, category_map: CategoryMap) -> None:
+    """Relabel each admission's location list through the map, in place; the timestamps stay as they are.
 
-    __slots__ = ("resolve",)
-
-    def __init__(self, resolve):
-        super().__init__()
-        self.resolve = resolve
-
-    def __missing__(self, location: str) -> str:
-        label = self[location] = self.resolve(location)
-        return label
-
-
-def apply_category_map(journeys: Iterable[AdmissionJourney], category_map: CategoryMap) -> Iterator[AdmissionJourney]:
-    """Relabel stops through the map, re-merging consecutive duplicates; returns an iterator.
-
-    Each journey is mapped as it is pulled. Each distinct stop is resolved
-    once, on first use in journey order, so a reject-unknown map raises
-    UnknownLocationError for the first unknown stop of the first journey
-    that has one, when that journey is pulled.
+    Each distinct location is resolved once, so a reject-unknown map raises
+    UnknownLocationError for the first unknown location in grouped order
+    (admissions in the order of their first accepted row, then each
+    admission's rows in log order) before any list is changed. Stays that
+    now share a category merge in `reconstruct_journeys`.
     """
-    label_of = _ResolvedOnFirstUse(category_map.resolve).__getitem__  # dict lookups in C after the first
-    for journey in journeys:
-        labels = list(map(label_of, journey.stops))
-        keep = _first_of_runs(labels)
-        # when no stop merges, the journey's own times tuple is handed on
-        times = journey.times if all(keep) else tuple(compress(journey.times, keep))
-        yield AdmissionJourney._unchecked(journey.admission_id, tuple(compress(labels, keep)), times)
+    distinct = dict.fromkeys(chain.from_iterable(locations for locations, _ in groups.values()))
+    label_of = {location: category_map.resolve(location) for location in distinct}.__getitem__
+    for locations, _ in groups.values():
+        locations[:] = map(label_of, locations)
 
 
 def read_category_map(source: IO | str, default_policy: str = KEEP_AS_IS, delimiter: str = ",") -> CategoryMap:

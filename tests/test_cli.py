@@ -600,7 +600,7 @@ def test_log_ingest_ends_with_one_full_collection(log_file, tmp_path, collector_
     categories.write_text(CATEGORIES)
     argv = ["build", str(log_file), "--categories", str(categories)]
     if outcome == "UnknownLocationError":
-        argv += ["--category-policy", "reject-unknown"]  # raised while the journeys stream into the network
+        argv += ["--category-policy", "reject-unknown"]  # raised by the map, before any journey is built
     args = cli._build_parser().parse_args(argv)
     (gc.enable if enabled else gc.disable)()
     before = gc.get_stats()[2]["collections"]
@@ -897,6 +897,17 @@ def test_a_utf16_edge_list_is_input_error_that_names_utf8(tmp_path, capsys):
     code, out, err = run(capsys, "export", edges, "--to", "dot")
     assert (code, out) == (2, "")
     assert err.startswith("input error: an edge list must be UTF-8 text: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["build"], ["analyze", "--from-log", "--skip", "small_world"]])
+def test_an_event_log_byte_that_is_not_utf8_is_input_error_that_names_its_line(tmp_path, capsys, argv):
+    log = tmp_path / "log.csv"
+    log.write_bytes(LOG.encode("utf-8") + b"a4,\xffCT,2016-03-03T08:00\n")
+    offset = len(LOG.encode("utf-8")) + 3
+    code, out, err = run(capsys, argv[0], log, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"input error: event log line 10: byte 0xff at offset {offset} of the file is not UTF-8 " \
+                  "(invalid start byte)\n"
 
 
 # per command: a usage error (exit 1) and an input error (exit 2)

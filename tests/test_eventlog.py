@@ -1,7 +1,7 @@
 import gc
 import io
+import operator
 import warnings
-import weakref
 from collections import deque
 from datetime import datetime, timedelta
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_group_by_admission
+from oracles import RefEvent, ref_apply_category_map, ref_group_by_admission, ref_reconstruct_journeys
 from wardflow.eventlog import (
     KEEP_AS_IS,
     REJECT_UNKNOWN,
@@ -145,28 +145,32 @@ def test_reconstruct_sorts_out_of_order_rows_within_an_admission():
     assert journeys == [AdmissionJourney("a1", ("ED", "CT", "ward1"), (ts(0), ts(60), ts(120)))]
 
 
+def mapped_journeys(groups, category_map):
+    apply_category_map(groups, category_map)
+    return list(reconstruct_journeys(groups))
+
+
 def test_category_map_merges_same_category():
-    journeys = [AdmissionJourney("a1", ("ward1", "ward2"), (ts(0), ts(10)))]
-    mapped = list(apply_category_map(journeys, CategoryMap({"ward1": "medical", "ward2": "medical"})))
+    groups = {"a1": (["ward1", "ward2"], [ts(0), ts(10)])}
+    mapped = mapped_journeys(groups, CategoryMap({"ward1": "medical", "ward2": "medical"}))
     assert mapped[0].stops == ("medical",)
     assert mapped[0].times == (ts(0),)
 
 
 def test_category_map_identity_keeps_journeys():
     journeys = [AdmissionJourney("a1", ("ED", "ward1"), (ts(0), ts(10)))]
-    assert list(apply_category_map(journeys, CategoryMap({}))) == journeys
+    assert mapped_journeys({"a1": (["ED", "ward1"], [ts(0), ts(10)])}, CategoryMap({})) == journeys
 
 
 def test_category_map_visit_and_return():
-    journeys = [AdmissionJourney("a1", ("ED", "ward1", "CT", "ward2"), tuple(ts(i) for i in range(4)))]
-    mapped = list(apply_category_map(journeys, CategoryMap({"ward1": "med", "ward2": "med"})))
+    groups = {"a1": (["ED", "ward1", "CT", "ward2"], [ts(i) for i in range(4)])}
+    mapped = mapped_journeys(groups, CategoryMap({"ward1": "med", "ward2": "med"}))
     assert mapped[0].stops == ("ED", "med", "CT", "med")
 
 
 def test_category_map_reject_unknown():
-    journeys = [AdmissionJourney("a1", ("ED",), (ts(0),))]
     with pytest.raises(UnknownLocationError, match="ED"):
-        list(apply_category_map(journeys, CategoryMap({"ward1": "med"}, REJECT_UNKNOWN)))
+        apply_category_map({"a1": (["ED"], [ts(0)])}, CategoryMap({"ward1": "med"}, REJECT_UNKNOWN))
 
 
 def test_category_map_rejects_empty_category():
@@ -227,36 +231,31 @@ def test_reconstruct_journeys_empties_groups_as_it_is_consumed():
     assert groups == {}
 
 
-def test_category_map_is_lazy_and_rejects_the_first_unknown_stop_in_journey_order():
-    pulled = []
-
-    def source():
-        for journey in (AdmissionJourney("a1", ("ward1", "ward2"), (ts(0), ts(10))),
-                        AdmissionJourney("a2", ("ward1", "ICU", "CT"), (ts(0), ts(10), ts(20)))):
-            pulled.append(journey.admission_id)
-            yield journey
-
-    mapped = apply_category_map(source(), CategoryMap({"ward1": "med", "ward2": "med"}, REJECT_UNKNOWN))
-    assert pulled == []
-    assert next(mapped).stops == ("med",)
-    assert pulled == ["a1"]
-    # ICU comes before CT in the journey, after it in sorted order
+def test_category_map_rejects_the_first_unknown_location_in_grouped_order():
+    groups, _ = parse_event_log(make_csv(["a2,ward1,2016-03-01T08:00", "a1,ward1,2016-03-01T08:00",
+                                          "a2,ICU,2016-03-01T09:00", "a1,CT,2016-03-01T09:00",
+                                          "a2,XR,2016-03-01T07:00"]))
+    # a2's first row comes before a1's, and ICU before XR in a2's rows; a1 would come first by id,
+    # and XR before ICU by time
     with pytest.raises(UnknownLocationError, match="^location 'ICU' has no category$"):
-        next(mapped)
+        apply_category_map(groups, CategoryMap({"ward1": "med", "ward2": "med"}, REJECT_UNKNOWN))
 
 
-def test_category_map_keeps_no_journey_behind():
-    refs = []
+def test_category_map_relabels_each_location_list_in_place():
+    groups = {f"a{i:02d}": (["ward1", "CT", "ward2"], [ts(0), ts(i), ts(i + 1)]) for i in range(50)}
+    lists = [list_ for group in groups.values() for list_ in group]
+    assert apply_category_map(groups, CategoryMap({"ward1": "med", "ward2": "med"})) is None
+    assert all(map(operator.is_, [list_ for group in groups.values() for list_ in group], lists))
+    assert groups == {f"a{i:02d}": (["med", "CT", "med"], [ts(0), ts(i), ts(i + 1)]) for i in range(50)}
+    assert [journey.stops for journey in reconstruct_journeys(groups)] == [("med", "CT", "med")] * 50
 
-    def source():
-        for i in range(50):
-            # only the journey being mapped is still alive when the next one is pulled
-            assert all(ref() is None for ref in refs[:-1])
-            refs.append(weakref.ref(journey := AdmissionJourney(f"a{i:02d}", ("ward1", "CT"), (ts(0), ts(i)))))
-            yield journey
 
-    mapped = [journey.stops for journey in apply_category_map(source(), CategoryMap({"ward1": "med"}))]
-    assert mapped == [("med", "CT")] * 50
+def test_category_map_that_rejects_a_location_leaves_the_groups_unchanged():
+    groups = {"a1": (["ward1", "ward2"], [ts(0), ts(10)]), "a2": (["ward2", "CT", "ward1"], [ts(5), ts(1), ts(2)])}
+    before = {admission: (list(locations), list(times)) for admission, (locations, times) in groups.items()}
+    with pytest.raises(UnknownLocationError, match="^location 'CT' has no category$"):
+        apply_category_map(groups, CategoryMap({"ward1": "med", "ward2": "med"}, REJECT_UNKNOWN))
+    assert groups == before
 
 
 a_ids = st.sampled_from(["a1", "a2", "a3"])
@@ -280,8 +279,22 @@ def test_reconstruct_is_idempotent(events):
 def test_category_mapping_never_adds_stops(events):
     journeys = list(reconstruct_journeys(ref_group_by_admission(events)))
     cmap = CategoryMap({"ward1": "med", "ward2": "med", "CT": "imaging"})
-    mapped = list(apply_category_map(journeys, cmap))
+    mapped = mapped_journeys(ref_group_by_admission(events), cmap)
     assert sum(len(j.stops) for j in mapped) <= sum(len(j.stops) for j in journeys)
+
+
+@given(st.lists(st.tuples(a_ids, locations, st.integers(min_value=0, max_value=6)), max_size=40),
+       st.dictionaries(locations, st.sampled_from(["med", "imaging", "ED", "ICU"]), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_mapping_the_groups_merges_as_mapping_the_journeys_would(raw, entries):
+    """Out-of-order and tied timestamps; keep-as-is maps that lack locations and may map onto one."""
+    events = [(a, l, ts(m)) for a, l, m in raw]
+    cmap = CategoryMap(entries)
+    ref_events = [RefEvent(a, l, t, source_row=i) for i, (a, l, t) in enumerate(events)]
+    expected = ref_apply_category_map(ref_reconstruct_journeys(ref_events), cmap)
+    mapped = mapped_journeys(ref_group_by_admission(events), cmap)
+    assert [(j.admission_id, j.stops, j.times) for j in mapped] == [
+        (j.admission_id, j.stops, j.times) for j in expected]
 
 
 @given(events_strategy, st.randoms())

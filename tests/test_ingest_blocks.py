@@ -8,6 +8,8 @@ reading the log row by row with `csv_rows` names.
 """
 import csv
 import io
+import operator
+import re
 from datetime import datetime
 
 import pytest
@@ -18,13 +20,13 @@ from oracles import ref_group_by_admission, ref_parse_event_log
 from test_ingest_equivalence import _groups, event_logs
 from wardflow import eventlog
 from wardflow.eventlog import (
-    AdmissionJourney,
     CategoryMap,
     LogSchema,
     SchemaError,
     apply_category_map,
     csv_rows,
     parse_event_log,
+    reconstruct_journeys,
 )
 
 HEADER = "admission_id,location,timestamp\n"
@@ -205,6 +207,38 @@ def test_a_csv_error_after_plain_blocks_names_the_line_the_row_by_row_reader_nam
     assert str(blocks.value) == str(row_by_row.value) == message
 
 
+def _undecodable_log(line_ends: bytes = b"\n") -> bytes:
+    """A 20,000-row log with a 0xff byte at the start of line 10002, byte 300,032 with newline ends."""
+    rows = "".join(f"a{i:05d},ward{i % 5},2016-03-01T08:{i % 60:02d}\n" for i in range(20000))
+    data = bytearray((HEADER + rows).encode("utf-8").replace(b"\n", line_ends))
+    start = data.index(b"a10000,")
+    data[start] = 0xFF
+    return bytes(data)
+
+
+@pytest.mark.parametrize("line_ends, offset", [(b"\n", 300_032), (b"\r\n", 310_033), (b"\r", 300_032)])
+@pytest.mark.parametrize("kind", ["path", "binary"])
+def test_an_undecodable_byte_names_its_line_and_its_offset_in_the_file(kind, line_ends, offset, tmp_path):
+    data = _undecodable_log(line_ends)
+    assert data.index(b"\xff") == offset
+    if kind == "path":
+        (tmp_path / "log.csv").write_bytes(data)
+        source = str(tmp_path / "log.csv")
+    else:
+        source = io.BytesIO(data)
+    message = f"event log line 10002: byte 0xff at offset {offset} of the file is not UTF-8 (invalid start byte)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_event_log(source)
+
+
+def test_an_undecodable_byte_from_a_handle_is_counted_from_where_the_handle_stood():
+    handle = io.BytesIO(b"skipped\n" + _undecodable_log())
+    handle.seek(8)
+    message = "event log line 10002: byte 0xff at offset 300040 of the file is not UTF-8 (invalid start byte)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_event_log(handle)
+
+
 def test_a_bare_carriage_return_from_a_path_ends_a_line(tmp_path):
     text = HEADER + _rows(3000) + "a1,ED\r" + "a1,CT,2016-03-01T08:00\n" + _rows(3000)
     groups, stats = parse_event_log(_source(text, "path", tmp_path))
@@ -212,10 +246,13 @@ def test_a_bare_carriage_return_from_a_path_ends_a_line(tmp_path):
     assert groups == parse_event_log(_source(text, "text", tmp_path))[0]
 
 
-def test_category_map_hands_on_the_times_of_a_journey_it_merges_nowhere():
-    times = tuple(datetime(2016, 3, 1, hour) for hour in (8, 9, 10))
-    journeys = [AdmissionJourney("a1", ("ED", "ward1", "CT"), times),
-                AdmissionJourney("a2", ("ward1", "ICU", "CT"), times)]
-    kept, merged = apply_category_map(journeys, CategoryMap({"ward1": "medical", "ICU": "medical"}))
-    assert (kept.stops, kept.times) == (("ED", "medical", "CT"), times) and kept.times is times
+def test_category_map_relabels_the_locations_in_place_and_leaves_the_times():
+    times = [datetime(2016, 3, 1, hour) for hour in (8, 9, 10)]
+    groups = {"a1": (["ED", "ward1", "CT"], list(times)), "a2": (["ward1", "ICU", "CT"], list(times))}
+    lists = [list_ for group in groups.values() for list_ in group]
+    apply_category_map(groups, CategoryMap({"ward1": "medical", "ICU": "medical"}))
+    assert all(map(operator.is_, [list_ for group in groups.values() for list_ in group], lists))
+    assert groups == {"a1": (["ED", "medical", "CT"], times), "a2": (["medical", "medical", "CT"], times)}
+    kept, merged = reconstruct_journeys(groups)
+    assert (kept.stops, kept.times) == (("ED", "medical", "CT"), tuple(times))
     assert (merged.stops, merged.times) == (("medical", "CT"), (times[0], times[2]))

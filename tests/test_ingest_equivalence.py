@@ -132,15 +132,18 @@ def test_ingest_matches_the_dictreader_reference(log, as_bytes):
     assert _groups(groups) == _groups(ref_group_by_admission(ref_rows))
     assert (stats.rows_read, stats.rows_rejected) == (ref_stats.rows_read, ref_stats.rows_rejected)
     assert list(stats.rejections.items()) == list(ref_stats.rejections.items())
+    mapped_groups, _ = parse_event_log(_source(text, as_bytes), schema)
 
     journeys = list(reconstruct_journeys(groups))
     ref_journeys = ref_reconstruct_journeys(ref_events)
     assert _journeys(journeys) == _journeys(ref_journeys)
     assert groups == {}
 
-    mapped = list(apply_category_map(journeys, CATEGORIES))
+    apply_category_map(mapped_groups, CATEGORIES)
+    mapped = list(reconstruct_journeys(mapped_groups))
     ref_mapped = ref_apply_category_map(ref_journeys, CATEGORIES)
     assert _journeys(mapped) == _journeys(ref_mapped)
+    assert mapped_groups == {}
 
     for ours, theirs in ((journeys, ref_journeys), (mapped, ref_mapped)):
         net, ref_net = build_network(ours), ref_build_network(theirs)
