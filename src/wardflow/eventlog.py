@@ -106,24 +106,34 @@ class CategoryMap:
 
 
 @contextmanager
-def _text_stream(source: IO | str) -> Iterator[IO[str]]:
+def _text_stream(source: IO | str, kind: str) -> Iterator[IO[str]]:
     """A text stream over a path, a text stream or a binary handle.
 
     A path is opened, and closed on exit. A binary handle is decoded as
     UTF-8, with an optional byte-order mark, as it is read, and is left
-    open for the caller.
+    open for the caller. A byte that is not UTF-8 in a path or a seekable
+    binary handle becomes a ValueError that names its line and its offset
+    in the file.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8-sig", newline="") as stream:
-            yield stream
-    elif isinstance(source, io.TextIOBase):
+    if isinstance(source, io.TextIOBase):
         yield source
+        return
+    if isinstance(source, str):
+        start, stream = 0, open(source, "r", encoding="utf-8-sig", newline="")
+        release = stream.close
     else:
+        # where the handle stands, to find an undecodable byte again
+        start = source.tell() if source.seekable() else None
         stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-        try:
-            yield stream
-        finally:
-            stream.detach()  # closing the wrapper would close the caller's handle
+        release = stream.detach  # closing the wrapper would close the caller's handle
+    try:
+        yield stream
+    except UnicodeDecodeError as exc:
+        if start is None:
+            raise
+        raise _undecodable_byte(kind, source, start, exc) from exc
+    finally:
+        release()
 
 
 def _csv_error(kind: str, line: int, exc: csv.Error) -> ValueError:
@@ -137,13 +147,13 @@ def _csv_error(kind: str, line: int, exc: csv.Error) -> ValueError:
 
 @contextmanager
 def csv_rows(source: IO | str, kind: str, delimiter: str = ",") -> Iterator[Iterator[list[str]]]:
-    """A csv.reader over `_text_stream(source)`.
+    """A csv.reader over `_text_stream(source, kind)`.
 
     A csv.Error raised in the block, such as a field over the csv module's
     size limit or a bare carriage return in an unquoted field, becomes a
     ValueError that names the file kind and the line the reader reached.
     """
-    with _text_stream(source) as stream:
+    with _text_stream(source, kind) as stream:
         reader = csv.reader(stream, delimiter=delimiter)
         try:
             yield reader
@@ -311,10 +321,10 @@ class _Ingest:
         return n
 
 
-def _undecodable_byte(source: IO[bytes] | str, start: int, exc: UnicodeDecodeError) -> ValueError:
-    """The ValueError for the log's first byte from `start` that is not UTF-8, naming its line and file offset.
+def _undecodable_byte(kind: str, source: IO[bytes] | str, start: int, exc: UnicodeDecodeError) -> ValueError:
+    """The ValueError for the file's first byte from `start` that is not UTF-8, naming its line and file offset.
 
-    The decoder names a position in its own chunk, so the log is read again
+    The decoder names a position in its own chunk, so the file is read again
     as bytes, a line at a time: UTF-8 puts no line end inside a character.
     """
     with open(source, "rb") if isinstance(source, str) else nullcontext(source) as handle:
@@ -325,10 +335,10 @@ def _undecodable_byte(source: IO[bytes] | str, start: int, exc: UnicodeDecodeErr
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as error:
-                return ValueError(f"event log line {number}: byte 0x{line[error.start]:02x} at offset "
+                return ValueError(f"{kind} line {number}: byte 0x{line[error.start]:02x} at offset "
                                   f"{offset + error.start} of the file is not UTF-8 ({error.reason})")
             offset += len(line)
-    return ValueError(f"event log: {exc}")  # the log changed since it was read
+    return ValueError(f"{kind}: {exc}")  # the file changed since it was read
 
 
 def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[AdmissionEvents, IngestStats]:
@@ -356,11 +366,7 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
     `csv_rows` names it; a byte that is not UTF-8 in a path or a seekable
     binary handle, one that names its line and its offset in the file.
     """
-    # where a path or a seekable binary handle starts, to find an undecodable byte again
-    start = 0 if isinstance(source, str) else None
-    if start is None and not isinstance(source, io.TextIOBase) and source.seekable():
-        start = source.tell()
-    with _text_stream(source) as stream:
+    with _text_stream(source, "event log") as stream:
         reader = csv.reader(stream, delimiter=schema.delimiter)
         line_base = 0  # lines of the log before the reader's first
         try:
@@ -379,10 +385,6 @@ def parse_event_log(source: IO | str, schema: LogSchema = LogSchema()) -> tuple[
                 line_base += reader.line_num
         except csv.Error as exc:
             raise _csv_error("event log", line_base + reader.line_num, exc) from exc
-        except UnicodeDecodeError as exc:
-            if start is None:
-                raise
-            raise _undecodable_byte(source, start, exc) from exc
     return ingest.groups, ingest.stats
 
 

@@ -16,7 +16,7 @@ from . import powerlaw as powerlaw_mod
 from . import resilience as resilience_mod
 from . import smallworld as smallworld_mod
 from .eventlog import IngestStats
-from .network import TransferNetwork, undirected_projection
+from .network import TransferNetwork
 from .pool import derive_seed
 
 
@@ -215,7 +215,7 @@ class _Sections:
     def small_world(self) -> smallworld_mod.SmallWorldReport:
         options = self.options
         return smallworld_mod.small_world_report(
-            undirected_projection(self.net), n_samples=options.sw_samples, seed=self.seeds.small_world,
+            self.net, n_samples=options.sw_samples, seed=self.seeds.small_world,
             n_swaps=options.sw_swaps, lattice_swaps=options.sw_lattice_swaps)
 
     def classification(self) -> Classification:

@@ -1,6 +1,8 @@
 """Random and lattice reference ensembles and small-world coefficients.
 
-References are built from the observed network by degree-preserving
+Everything here reads the undirected projection of the network, so a
+network of either direction may be passed; an undirected network is its
+own projection. References are built from it by degree-preserving
 double-edge swaps: the random ensemble accepts every legal swap, the
 lattice ensemble only swaps that do not loosen a banded edge layout
 (nodes ordered by degree, edges scored by negative index distance).
@@ -154,14 +156,30 @@ def _screen_kernel(edge_u, edge_v, rank_u, rank_v, pick_a, pick_b, orientation, 
     return accepted
 
 
-def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
-                lattice_rank: list[int] | None) -> tuple[TransferNetwork, int]:
-    """The network after n_swaps proposals, and the number of them accepted."""
-    if net.edge_count < 2 or n_swaps == 0:
-        return net, 0
-    core = net.core
+def _swap_count(net: TransferNetwork, name: str, value: int | None, per_edge: int) -> int:
+    """The swap count `value`, or per_edge swaps per edge of the undirected projection when it is None."""
+    if value is None:
+        value = per_edge * (net.core.projection.out.nnz // 2)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _rewire(net: TransferNetwork, n_swaps: int | None, per_edge: int, seed: int, lattice: bool) -> RewireResult:
+    """The body of `rewire_random` and of `latticize`: n_swaps proposals on the undirected projection of net.
+
+    For the lattice rule, nodes are ranked by their degree in the projection.
+    """
+    n_swaps = _swap_count(net, "n_swaps", n_swaps, per_edge)
+    core = net.core.projection
     labels = core.labels
     n = core.n
+    rank = lattice_rank = None
+    if lattice:
+        # node indices follow label order, so a stable sort by degree breaks ties by label
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(np.diff(core.out.indptr), kind="stable")] = np.arange(n)
+        lattice_rank = rank.tolist()
     # each edge once, u < v, in sorted order; integer order follows label order
     sources = core.sources()
     upper = sources < core.weighted.indices
@@ -173,11 +191,13 @@ def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
     # lattice proposals are checked in Python while the chain accepts often;
     # from the first chunk that accepts fewer than _SCREEN_BELOW of its
     # proposals, the rest are screened in numpy. The random rule accepts most
-    # proposals, so it stays in Python throughout
+    # proposals, so it stays in Python throughout. Fewer than two edges admit
+    # no swap, so none is drawn
+    rng = np.random.default_rng(seed)
     screened = None
     accepted = 0
     done = 0
-    while done < n_swaps:
+    while done < n_swaps and len(edge_u) > 1:
         take = min(_RNG_BLOCK, n_swaps - done)
         pick_a = rng.integers(0, len(edge_u), size=take)
         pick_b = rng.integers(0, len(edge_u), size=take)
@@ -190,8 +210,7 @@ def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
             hits, _ = _swap_kernel(edge_u, edge_v, pick_a[lo:hi].tolist(), pick_b[lo:hi].tolist(),
                                    orientation[lo:hi].tolist(), lattice_rank, present, n)
             accepted += hits
-            if lattice_rank is not None and hits < _SCREEN_BELOW * (hi - lo):
-                rank = np.array(lattice_rank, dtype=np.int64)
+            if lattice and hits < _SCREEN_BELOW * (hi - lo):
                 screened = (rank[edge_u], rank[edge_v])
             lo = hi
         if lo < take:
@@ -204,53 +223,29 @@ def _swap_edges(net: TransferNetwork, n_swaps: int, rng: np.random.Generator,
         for u, v, weight in zip(edge_u, edge_v, weights)
     }
     rewired = TransferNetwork(net.nodes, edges, directed=False, categories=net.categories)
-    return rewired, accepted
-
-
-def _swap_count(net: TransferNetwork, op: str, name: str, value: int | None, per_edge: int) -> int:
-    """The swap count `value`, or per_edge swaps per edge when it is None; checks that net is undirected first."""
-    if net.directed:
-        raise ValueError(f"{op} expects the undirected projection")
-    if value is None:
-        value = per_edge * net.edge_count
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def _rewire(net: TransferNetwork, op: str, n_swaps: int | None, per_edge: int, seed: int,
-            lattice: bool) -> RewireResult:
-    """The body of `rewire_random` and of `latticize`, which ranks the nodes for the lattice rule."""
-    n_swaps = _swap_count(net, op, "n_swaps", n_swaps, per_edge)
-    rank = None
-    if lattice:
-        # node indices follow label order, so a stable sort by degree breaks ties by label
-        by_degree = np.argsort(np.diff(net.core.out.indptr), kind="stable")
-        rank = np.empty(net.node_count, dtype=np.int64)
-        rank[by_degree] = np.arange(net.node_count)
-        rank = rank.tolist()
-    rewired, accepted = _swap_edges(net, n_swaps, np.random.default_rng(seed), lattice_rank=rank)
     return RewireResult(rewired, n_swaps, accepted)
 
 
 def rewire_random(net: TransferNetwork, n_swaps: int | None = None, seed: int = 0) -> RewireResult:
     """Degree-preserving randomization by repeated double-edge swaps.
 
-    Each of n_swaps attempts picks two edges uniformly and exchanges their
-    endpoints unless that would create a self-loop or a parallel edge.
-    Defaults to 10 swap attempts per edge. Networks admitting no legal swap
-    (a star, for instance) come back unchanged with the warning flag set.
+    Each of n_swaps attempts picks two edges of the undirected projection
+    uniformly and exchanges their endpoints unless that would create a
+    self-loop or a parallel edge. Defaults to 10 swap attempts per edge of
+    the projection. A projection admitting no legal swap (a star, for
+    instance) comes back unchanged with the warning flag set.
     """
-    return _rewire(net, "rewire_random", n_swaps, _DEFAULT_SWAP_FACTOR, seed, lattice=False)
+    return _rewire(net, n_swaps, _DEFAULT_SWAP_FACTOR, seed, lattice=False)
 
 
 def latticize(net: TransferNetwork, seed: int = 0, n_swaps: int | None = None) -> RewireResult:
     """Degree-preserving swaps accepted only when bandedness does not drop.
 
-    Nodes are ranked by (degree, label); an edge scores the negative index
-    distance of its endpoints, and a swap must not decrease the total score.
+    Nodes are ranked by (degree in the undirected projection, label); an
+    edge scores the negative index distance of its endpoints, and a swap
+    must not decrease the total score.
     """
-    return _rewire(net, "latticize", n_swaps, _DEFAULT_LATTICE_FACTOR, seed, lattice=True)
+    return _rewire(net, n_swaps, _DEFAULT_LATTICE_FACTOR, seed, lattice=True)
 
 
 _RANDOM_TAG = 1
@@ -293,11 +288,10 @@ def small_world_report(net: TransferNetwork, n_samples: int = 20, seed: int = 0,
     Members have their own seeds, so they run in parallel on the CPUs
     available to the process and give the same report as a serial run.
     """
-    # a directed network is refused first, by `_swap_count`
-    if n_samples < 1 and not net.directed:
+    if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    n_swaps = _swap_count(net, "small_world_report", "n_swaps", n_swaps, _DEFAULT_SWAP_FACTOR)
-    lattice_swaps = _swap_count(net, "small_world_report", "lattice_swaps", lattice_swaps, _DEFAULT_LATTICE_FACTOR)
+    n_swaps = _swap_count(net, "n_swaps", n_swaps, _DEFAULT_SWAP_FACTOR)
+    lattice_swaps = _swap_count(net, "lattice_swaps", lattice_swaps, _DEFAULT_LATTICE_FACTOR)
 
     _, c_av, _ = metrics_mod.clustering(net)
     l_av, coverage = metrics_mod.avg_shortest_path(net, metrics_mod.PROJECTION_SCOPE)

@@ -910,6 +910,18 @@ def test_an_event_log_byte_that_is_not_utf8_is_input_error_that_names_its_line(t
                   "(invalid start byte)\n"
 
 
+def test_a_category_map_byte_that_is_not_utf8_is_input_error_that_names_its_line(log_file, tmp_path, capsys):
+    rows = "".join(f"w{i:04d},category{i % 7}\n" for i in range(1000)).encode()
+    data = b"location,category\n" + rows.replace(b"w0700,category", b"w0700,categ\xffry")
+    categories = tmp_path / "map.csv"
+    categories.write_bytes(data)
+    offset = data.index(b"\xff")
+    code, out, err = run(capsys, "build", log_file, "--categories", categories)
+    assert (code, out) == (2, "")
+    assert err == f"input error: category map line 702: byte 0xff at offset {offset} of the file is not UTF-8 " \
+                  "(invalid start byte)\n"
+
+
 # per command: a usage error (exit 1) and an input error (exit 2)
 _EXIT_CASES = {
     "build": (["build", "{log}", "--delimiter", ";;"], ["build", "{missing}"]),

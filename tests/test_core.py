@@ -57,7 +57,7 @@ def golden_values() -> dict:
             "network_metrics": dataclasses.asdict(metrics.compute_network_metrics(directed)),
         }
         if not net.directed:
-            # the undirected network itself, as the small-world section passes it
+            # the undirected network itself, which is its own projection
             entry["projection"] = {
                 "clustering": metrics.clustering(net),
                 "knn": metrics.knn(net),
@@ -127,14 +127,12 @@ def test_default_report_indexes_the_projection_once(monkeypatch):
     assert all(not member.directed for member in built[1:])
 
 
-def test_undirected_projection_shares_the_projected_core():
+def test_the_projected_core_indexes_the_undirected_projection():
     net = log_built_network()
-    projected = undirected_projection(net)
-    assert projected.core is net.core.projection
-    fresh = GraphCore.from_network(projected)
-    assert fresh.labels == projected.core.labels
+    fresh = GraphCore.from_network(undirected_projection(net))
+    assert fresh.labels == net.core.projection.labels
     for name in ("weighted", "out", "inc"):
-        ours, theirs = getattr(projected.core, name), getattr(fresh, name)
+        ours, theirs = getattr(net.core.projection, name), getattr(fresh, name)
         assert (ours.indptr == theirs.indptr).all() and (ours.indices == theirs.indices).all()
         assert (ours.data == theirs.data).all() and ours.data.dtype == theirs.data.dtype
 

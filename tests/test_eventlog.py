@@ -1,6 +1,7 @@
 import gc
 import io
 import operator
+import re
 import warnings
 from collections import deque
 from datetime import datetime, timedelta
@@ -218,6 +219,28 @@ def test_read_category_map_header_is_only_the_first_non_blank_row():
 def test_read_category_map_rejects_an_empty_location(text, row):
     with pytest.raises(ValueError, match=f"^category map row {row} has an empty location: "):
         read_category_map(io.StringIO(text))
+
+
+def undecodable_category_map() -> tuple[bytes, int, int]:
+    """A 1,000-row map with a 0xff byte past its first 8 KiB: (bytes, its line, its offset)."""
+    rows = [f"w{i:04d},category{i % 7}\n".encode() for i in range(1000)]
+    rows[700] = rows[700].replace(b"category", b"categ\xffry")
+    data = b"location,category\n" + b"".join(rows)
+    return data, 702, data.index(b"\xff")
+
+
+@pytest.mark.parametrize("kind", ["path", "binary"])
+def test_read_category_map_names_the_line_and_file_offset_of_a_byte_that_is_not_utf8(kind, tmp_path):
+    data, line, offset = undecodable_category_map()
+    assert offset > 8192
+    if kind == "path":
+        (tmp_path / "map.csv").write_bytes(data)
+        source = str(tmp_path / "map.csv")
+    else:
+        source = io.BytesIO(data)
+    message = f"category map line {line}: byte 0xff at offset {offset} of the file is not UTF-8 (invalid start byte)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_category_map(source)
 
 
 def test_reconstruct_journeys_empties_groups_as_it_is_consumed():

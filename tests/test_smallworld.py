@@ -63,12 +63,6 @@ def test_rewire_is_deterministic():
     assert a.accepted == b.accepted
 
 
-def test_rewire_requires_undirected():
-    directed = TransferNetwork(frozenset({"A", "B"}), {("A", "B"): 1}, directed=True)
-    with pytest.raises(ValueError):
-        rewire_random(directed)
-
-
 def test_latticize_preserves_degree_sequence():
     net = generate_network(ModelSpec("uniform-random", n=30, seed=5, p=0.15))
     result = latticize(net, seed=9)
@@ -112,11 +106,50 @@ def test_small_world_report_deterministic():
     assert a == b
 
 
-def test_small_world_report_rejects_directed_input():
-    directed = TransferNetwork(frozenset({"A", "B"}), {("A", "B"): 1}, directed=True)
-    with pytest.raises(ValueError):
-        small_world_report(directed)
-    small_world_report(undirected_projection(directed), n_samples=1, seed=0)
+def directed_of(edges, extra_nodes=()):
+    nodes = {u for u, _ in edges} | {v for _, v in edges} | set(extra_nodes)
+    return TransferNetwork(frozenset(nodes), edges, directed=True)
+
+
+def with_antiparallel_pairs(net, extra_nodes=()):
+    """Each undirected edge one way or the other, and every other one both ways, with another weight back."""
+    edges = {}
+    for i, ((u, v), weight) in enumerate(sorted(net.edges.items())):
+        if i % 3:
+            u, v = v, u
+        edges[(u, v)] = weight
+        if i % 2 == 0:
+            edges[(v, u)] = weight + 2
+    return directed_of(edges, extra_nodes)
+
+
+DIRECTED = {
+    "antiparallel-pairs": lambda: with_antiparallel_pairs(
+        generate_network(ModelSpec("ring-rewire", n=30, k=4, p=0.1, seed=3))),
+    "isolated-node": lambda: with_antiparallel_pairs(
+        generate_network(ModelSpec("preferential-attachment", n=20, m=2, seed=5)), extra_nodes=("zz-lone",)),
+    "one-projected-edge": lambda: directed_of({("B", "A"): 2, ("A", "B"): 1}, extra_nodes=("C",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTED))
+def test_a_directed_network_gives_what_its_undirected_projection_gives(case):
+    net = DIRECTED[case]()
+    projected = undirected_projection(net)
+    assert net.directed and net.edge_count > projected.edge_count
+    for seed in (0, 7):
+        assert rewire_random(net, seed=seed) == rewire_random(projected, seed=seed)
+        assert latticize(net, seed=seed) == latticize(projected, seed=seed)
+    # the default swap counts are per edge of the projection, not of the directed network
+    assert rewire_random(net).attempted == 10 * projected.edge_count
+    assert small_world_report(net, n_samples=2, seed=3) == small_world_report(projected, n_samples=2, seed=3)
+    if case != "one-projected-edge":
+        assert rewire_random(net, seed=0).accepted > 0 and latticize(net, seed=0).accepted > 0
+
+
+def test_a_directed_network_with_no_samples_is_refused():
+    with pytest.raises(ValueError, match="^n_samples must be >= 1$"):
+        small_world_report(directed_of({("A", "B"): 1, ("B", "C"): 1}), n_samples=0)
 
 
 def test_small_world_report_of_a_directed_network_near_the_weight_limit():
